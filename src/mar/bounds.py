@@ -19,6 +19,7 @@ inequality verifiers suitable for property-test harnesses.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .costs import capacity, link_cost
+from .costs import _spacing, capacity, link_cost
 from .equilibrium import EquilibriumConfig, SolveResult, solve_equilibrium
 from .network import CapacityModel, Network, ODPair, Road, path_table
 from .optimum import OptimumConfig, brute_force_optimum, solve_optimum
@@ -192,9 +193,13 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
     return AggregateCost(road=road, anchor=anchor, big=big, small=small, swapped=swapped)
 
 
-def _avg_spacing(road: Road, v: float, w: float) -> float:
-    """Average road space per vehicle at composition (v, w)."""
-    return road.length / capacity(road, v, w)
+def _check_reference(road: Road, v: float, w: float) -> None:
+    if not road.is_bpr:
+        raise errors.UnsupportedCostKindError("beta requires a BPR road")
+    if v < 0 or w < 0:
+        raise errors.NegativeFlowError("reference flows must be >= 0")
+    if v + w == 0:
+        raise errors.ZeroReferenceError("reference flow pair sums to zero")
 
 
 def beta_road_closed_form(road: Road, v: float, w: float, sigma_use: float) -> float:
@@ -205,14 +210,11 @@ def beta_road_closed_form(road: Road, v: float, w: float, sigma_use: float) -> f
     Reduces to ``xi(sigma)`` on symmetric roads and is capped by
     ``road_ratio * xi(sigma)``.
     """
-    if not road.is_bpr:
-        raise errors.UnsupportedCostKindError("beta requires a BPR road")
-    if v < 0 or w < 0:
-        raise errors.NegativeFlowError("reference flows must be >= 0")
-    if v + w == 0:
-        raise errors.ZeroReferenceError("reference flow pair sums to zero")
+    _check_reference(road, v, w)
     small = min(road.headway, road.platoon_headway)
-    return xi(sigma_use) * _avg_spacing(road, v, w) / small
+    # the average spacing, as length / capacity: reading it from the spacing
+    # rule directly would move reported values by an ulp
+    return xi(sigma_use) * (road.length / capacity(road, v, w)) / small
 
 
 def _beta_expression(road: Road, v: float, w: float, sigma_use: float, x, y):
@@ -222,12 +224,9 @@ def _beta_expression(road: Road, v: float, w: float, sigma_use: float, x, y):
     t_q = v + w
     t_z = x + y
     m_q = capacity(road, v, w)
-    # average spacing at (x, y), with the zero-flow convention alpha = 0
+    # capacity at (x, y), with the zero-flow convention alpha = 0
     safe_t = np.where(t_z > 0, t_z, 1.0)
-    alpha = np.where(t_z > 0, y / safe_t, 0.0)
-    weight = alpha if road.capacity_model is CapacityModel.MODEL1 else alpha * alpha
-    spacing = weight * road.platoon_headway + (1.0 - weight) * road.headway
-    m_z = road.length / spacing
+    m_z = road.length / _spacing(road, np.where(t_z > 0, y / safe_t, 0.0))
     ratio = (m_q * t_z) / (m_z * t_q)
     return (t_z / t_q) * (1.0 - ratio ** sigma_use)
 
@@ -258,12 +257,7 @@ def beta_road_numeric(road: Road, v: float, w: float, sigma_use: float) -> float
     as a defensive check against the axis argument. Agrees with
     ``beta_road_closed_form`` to high relative accuracy.
     """
-    if not road.is_bpr:
-        raise errors.UnsupportedCostKindError("beta requires a BPR road")
-    if v < 0 or w < 0:
-        raise errors.NegativeFlowError("reference flows must be >= 0")
-    if v + w == 0:
-        raise errors.ZeroReferenceError("reference flow pair sums to zero")
+    _check_reference(road, v, w)
     bound = 3.0 * (v + w) * road.headway_ratio
     grid = np.linspace(0.0, bound, 1201)
     best = 0.0
@@ -354,6 +348,17 @@ class PoAOutcome:
     flags: tuple[str, ...]   # nonempty when the ratio is not fully certified
 
 
+def _best_optimum(net: Network, cfg: OptimumConfig) -> tuple[SolveResult, str]:
+    """Multistart local search, then the grid oracle when the brute-force guard
+    admits the instance; the cheaper optimum and its oracle's name."""
+    opt = solve_optimum(net, cfg)
+    try:
+        bf = brute_force_optimum(net, cfg.grid_resolution)
+    except errors.TooLargeError:
+        return opt, "local-search"
+    return (bf if bf.social_cost < opt.social_cost else opt), "brute-force"
+
+
 def empirical_poa(
     net: Network,
     eq_cfg: EquilibriumConfig | None = None,
@@ -371,16 +376,10 @@ def empirical_poa(
     _require_bpr(net, "empirical_poa")
     opt_cfg = opt_cfg or OptimumConfig()
     eq = solve_equilibrium(net, eq_cfg)
-    opt = solve_optimum(net, opt_cfg)
-    oracle = "local-search"
     if use_brute_force:
-        try:
-            bf = brute_force_optimum(net, opt_cfg.grid_resolution)
-            oracle = "brute-force"
-            if bf.social_cost < opt.social_cost:
-                opt = bf
-        except errors.TooLargeError:
-            pass
+        opt, oracle = _best_optimum(net, opt_cfg)
+    else:
+        opt, oracle = solve_optimum(net, opt_cfg), "local-search"
     flags = []
     if not eq.converged:
         flags.append("eq-unconverged")
@@ -427,9 +426,7 @@ def _segregated_starts(table):
     if any(blk.stop - blk.start > 4 for blk in table.blocks):
         return starts
     index_choices = [range(blk.start, blk.stop) for blk in table.blocks]
-    import itertools as _it
-
-    human_choices = list(_it.product(*index_choices))
+    human_choices = list(itertools.product(*index_choices))
     for hsel in human_choices:
         for asel in human_choices:
             ph = np.zeros(total)
@@ -462,6 +459,9 @@ def tightness_probe(
     Failing to attain the closed-form bound is expected; the probe establishes
     growth, not exact tightness.
     """
+    ks, rhos = tuple(ks), tuple(rhos)
+    if not ks or not rhos:
+        raise errors.InvalidParameterError("ks and rhos must each name at least one value")
     eq_cfg = eq_cfg or EquilibriumConfig(max_iterations=20_000)
     opt_cfg = opt_cfg or OptimumConfig(restarts=8, max_iterations=2_000)
     points = []
@@ -476,13 +476,7 @@ def tightness_probe(
                 bound = poa_bounds(net).bound_combined
             tried += 1
             table = path_table(net)
-            opt = solve_optimum(net, opt_cfg)
-            try:
-                bf = brute_force_optimum(net, opt_cfg.grid_resolution)
-                if bf.social_cost < opt.social_cost:
-                    opt = bf
-            except errors.TooLargeError:
-                pass
+            opt, _ = _best_optimum(net, opt_cfg)
             rng = np.random.default_rng(seed)
             starts = [None, "random"]
             starts.extend(

@@ -38,6 +38,7 @@ from .scenario import (
     Experiment,
     Scenario,
     demo_scenario,
+    experiment_named,
     parse_scenario,
 )
 
@@ -347,16 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VERB_EXPERIMENTS = {
-    "eq": Experiment.EQUILIBRIUM,
-    "opt": Experiment.OPTIMUM,
-    "bounds": Experiment.BOUNDS,
-    "poa": Experiment.POA,
-    "bicriteria": Experiment.BICRITERIA,
-    "sweep": Experiment.SWEEP,
-}
-
-
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     eq_cfg = scenario.eq_config
     opt_cfg = scenario.opt_config
@@ -384,9 +375,8 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             sys.stdout.write("scenario ok\n")
             return 0
-        experiment = _VERB_EXPERIMENTS.get(args.verb, scenario.experiment)
         if args.verb != "demo":
-            scenario = dataclasses.replace(scenario, experiment=experiment)
+            scenario = dataclasses.replace(scenario, experiment=experiment_named(args.verb))
         scenario = _apply_overrides(scenario, args)
         return run(scenario, out=args.out, fmt=args.format)
     except OSError as exc:

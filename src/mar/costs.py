@@ -8,8 +8,9 @@ of two platooning models. The congestion argument ``(x+y)/m(x,y)`` expands to
 * model 2: ``(h*(x+y)**2 - (h - hbar)*y**2) / (d*(x+y))`` (zero at zero flow)
 
 with ``h`` the non-platooned and ``hbar`` the platooned headway. Those closed
-forms are what the vectorized kernel evaluates; ``capacity`` exposes the
-underlying ``d / average_spacing`` quantity directly.
+forms are what the vectorized kernel evaluates; ``capacity`` states the rule
+itself, ``d / average_spacing``, and is the reference the tests hold the
+kernel to.
 
 The duplicated cost vector ``c(z)`` repeats each road's latency twice so that
 both vehicle classes see identical delays; its Jacobian is block diagonal in
@@ -117,8 +118,8 @@ def _check_flow_pair(x: float, y: float) -> None:
         raise errors.NegativeFlowError(f"flows must be >= 0, got ({x}, {y})")
 
 
-def _split_flows(net: Network, z) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a FlowVector or interleaved sequence into (x, y) arrays."""
+def _interleaved(net: Network, z) -> np.ndarray:
+    """Coerce a FlowVector or interleaved sequence into a checked, clipped array."""
     if isinstance(z, FlowVector):
         arr = z.interleaved
     else:
@@ -129,8 +130,21 @@ def _split_flows(net: Network, z) -> tuple[np.ndarray, np.ndarray]:
         )
     if arr.min() < -1e-9:
         raise errors.NegativeFlowError(f"negative flow entry: {arr.min()}")
-    arr = np.clip(arr, 0.0, None)
+    return np.clip(arr, 0.0, None)
+
+
+def _split_flows(net: Network, z) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a FlowVector or interleaved sequence into (x, y) arrays."""
+    arr = _interleaved(net, z)
     return arr[0::2], arr[1::2]
+
+
+def _spacing(road: Road, alpha):
+    """Average road space per vehicle at autonomy level ``alpha`` (scalar or
+    array): the headways mixed with weight ``alpha`` under model 1 and
+    ``alpha**2`` under model 2. The single statement of the capacity rule."""
+    weight = alpha if road.capacity_model is CapacityModel.MODEL1 else alpha * alpha
+    return weight * road.platoon_headway + (1.0 - weight) * road.headway
 
 
 def autonomy_level(x: float, y: float) -> float:
@@ -147,11 +161,7 @@ def capacity(road: Road, x: float, y: float) -> float:
     average interpolates linearly in the autonomy level; under model 2
     quadratically, because platooning requires an autonomous predecessor.
     """
-    _check_flow_pair(x, y)
-    alpha = autonomy_level(x, y)
-    weight = alpha if road.capacity_model is CapacityModel.MODEL1 else alpha * alpha
-    spacing = weight * road.platoon_headway + (1.0 - weight) * road.headway
-    return road.length / spacing
+    return road.length / _spacing(road, autonomy_level(x, y))
 
 
 def link_cost(road: Road, x: float, y: float) -> float:
@@ -194,12 +204,8 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
 def monotonicity_probe(net: Network, z, q) -> float:
     """Inner product ``<c(z) - c(q), z - q>``; a negative value certifies that
     the cost operator is not monotone."""
-    xz, yz = _split_flows(net, z)
-    xq, yq = _split_flows(net, q)
-    zz = np.empty(2 * net.n_roads)
-    zz[0::2], zz[1::2] = xz, yz
-    qq = np.empty(2 * net.n_roads)
-    qq[0::2], qq[1::2] = xq, yq
+    zz = _interleaved(net, z)
+    qq = _interleaved(net, q)
     return float(np.dot(cost_vector(net, zz) - cost_vector(net, qq), zz - qq))
 
 

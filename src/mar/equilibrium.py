@@ -29,10 +29,10 @@ import numpy as np
 
 from . import errors
 from .costs import (
+    _interleaved,
     _latencies,
     _latency_partials,
     _net_arrays,
-    _split_flows,
     cost_vector,
     social_cost,
 )
@@ -42,7 +42,6 @@ from .network import (
     PathFlowAssignment,
     PathTable,
     path_table,
-    to_link_flows,
     validate_assignment,
 )
 
@@ -87,8 +86,15 @@ class SolveResult:
     converged: bool
 
 
-def _gap_at(table: PathTable, c_road: np.ndarray, ph: np.ndarray, pa: np.ndarray):
-    """Wardrop gap pieces at one point: (absolute gap, social cost, aon indices)."""
+def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
+    """The Wardrop gap certificate at one point.
+
+    Returns (relative gap, absolute gap, road latencies, all-or-nothing path
+    index per OD). Both vehicle classes see the same road latencies, so the
+    per-class shortest paths coincide.
+    """
+    x, y = table.link_flows(ph, pa)
+    c_road = _latencies(params, x, y)
     cp = table.incidence.T @ c_road
     total_cost = float(np.dot(ph, cp) + np.dot(pa, cp))
     shortest_cost = 0.0
@@ -98,7 +104,11 @@ def _gap_at(table: PathTable, c_road: np.ndarray, ph: np.ndarray, pa: np.ndarray
         cmin = float(cp[blk][j])
         shortest_cost += (table.demand_human[i] + table.demand_auto[i]) * cmin
         aon.append(blk.start + j)
-    return total_cost - shortest_cost, total_cost, aon
+    gap_abs = max(total_cost - shortest_cost, 0.0)
+    if total_cost <= 0.0:
+        # a Network always carries positive demand
+        raise errors.ZeroCostError("social cost is zero with positive demand")
+    return gap_abs / total_cost, gap_abs, c_road, aon
 
 
 def _swap_directions(table: PathTable, c_road: np.ndarray,
@@ -216,24 +226,12 @@ def _support_polish(table: PathTable, params, ph: np.ndarray, pa: np.ndarray,
 
 
 def wardrop_gap(net: Network, pf: PathFlowAssignment) -> tuple[float, float]:
-    """(absolute, relative) Wardrop gap of a path-flow assignment.
-
-    Zero exactly at equilibrium. Both vehicle classes see the same road
-    latencies, so the per-class shortest paths coincide.
-    """
+    """(absolute, relative) Wardrop gap of a path-flow assignment; zero
+    exactly at equilibrium."""
     validate_assignment(net, pf)
     table = path_table(net)
-    ph, pa = table.arrays(pf)
-    x, y = table.link_flows(ph, pa)
-    c_road = _latencies(_net_arrays(net), x, y)
-    gap_abs, total_cost, _ = _gap_at(table, c_road, ph, pa)
-    gap_abs = max(gap_abs, 0.0)
-    demand = sum(od.total_demand for od in net.od_pairs)
-    if total_cost <= 0.0:
-        if demand > 0:
-            raise errors.ZeroCostError("social cost is zero with positive demand")
-        return gap_abs, 0.0
-    return gap_abs, gap_abs / total_cost
+    gap_rel, gap_abs, _, _ = _gap_at(table, _net_arrays(net), *table.arrays(pf))
+    return gap_abs, gap_rel
 
 
 def solve_equilibrium(
@@ -264,7 +262,6 @@ def solve_equilibrium(
         validate_assignment(net, start)
         ph, pa = table.arrays(start)
 
-    total_demand = float(table.demand_human.sum() + table.demand_auto.sum())
     best_gap = np.inf
     best = (ph.copy(), pa.copy(), 0)
     prev_gap = np.inf
@@ -276,28 +273,16 @@ def solve_equilibrium(
     swap_epoch_count = 0
     last_polish = -10**9
     its = 0
-
-    def gap_pieces(h, a):
-        x, y = table.link_flows(h, a)
-        c_road = _latencies(params, x, y)
-        gap_abs, total_cost, aon = _gap_at(table, c_road, h, a)
-        gap_abs = max(gap_abs, 0.0)
-        if total_cost <= 0.0:
-            if total_demand > 0:
-                raise errors.ZeroCostError("social cost is zero with positive demand")
-            return 0.0, c_road, aon
-        return gap_abs / total_cost, c_road, aon
-
     for it in range(cfg.max_iterations + 1):
         its = it
-        gap_rel, c_road, aon = gap_pieces(ph, pa)
+        gap_rel, _, c_road, aon = _gap_at(table, params, ph, pa)
         if on_iterate is not None:
             on_iterate(it, table.assignment(ph, pa), gap_rel)
         if gap_rel < best_gap:
             best_gap = gap_rel
             best = (ph.copy(), pa.copy(), it)
         if gap_rel <= cfg.gap_tolerance:
-            return _result(net, table, ph, pa, gap_rel, it, True)
+            return _result(table, ph, pa, gap_rel, it, True)
         if it == cfg.max_iterations:
             break
 
@@ -322,7 +307,7 @@ def solve_equilibrium(
                 for _ in range(8):
                     cand_h = ph + step * dh
                     cand_a = pa + step * da
-                    cand_gap, _, _ = gap_pieces(cand_h, cand_a)
+                    cand_gap = _gap_at(table, params, cand_h, cand_a)[0]
                     if cand_gap < gap_rel:
                         ph, pa = cand_h, cand_a
                         swap_step = step * 1.3
@@ -339,7 +324,7 @@ def solve_equilibrium(
                 # class-composition exchange, which only the polish can make
                 last_polish = it
                 cand_h, cand_a = _support_polish(table, params, ph, pa)
-                cand_gap, _, _ = gap_pieces(cand_h, cand_a)
+                cand_gap = _gap_at(table, params, cand_h, cand_a)[0]
                 if cand_gap < gap_rel:
                     ph, pa = cand_h, cand_a
                     continue
@@ -365,22 +350,21 @@ def solve_equilibrium(
 
     ph, pa, best_it = best
     polished_h, polished_a = _support_polish(table, params, ph, pa)
-    polished_gap, _, _ = gap_pieces(polished_h, polished_a)
+    polished_gap = _gap_at(table, params, polished_h, polished_a)[0]
     if polished_gap < best_gap:
         ph, pa, best_gap = polished_h, polished_a, polished_gap
         if best_gap <= cfg.gap_tolerance:
-            return _result(net, table, ph, pa, best_gap, its, True)
+            return _result(table, ph, pa, best_gap, its, True)
     log.info("not converged after %d iterations, best gap %.3e", its, best_gap)
-    return _result(net, table, ph, pa, best_gap, best_it, False)
+    return _result(table, ph, pa, best_gap, best_it, False)
 
 
-def _result(net, table, ph, pa, gap_rel, iterations, converged) -> SolveResult:
-    pf = table.assignment(ph, pa)
-    z = to_link_flows(net, pf)
+def _result(table, ph, pa, gap_rel, iterations, converged) -> SolveResult:
+    z = FlowVector.from_xy(*table.link_flows(ph, pa))
     return SolveResult(
-        flows=pf,
+        flows=table.assignment(ph, pa),
         link_flows=z,
-        social_cost=social_cost(net, z),
+        social_cost=social_cost(table.net, z),
         relative_gap=float(gap_rel),
         iterations=iterations,
         converged=converged,
@@ -393,10 +377,5 @@ def vi_residual(net: Network, z_eq, z) -> float:
     At a true equilibrium this is <= 0 for every feasible z; a positive value
     against some feasible z certifies z_eq is not an equilibrium.
     """
-    x_eq, y_eq = _split_flows(net, z_eq)
-    x, y = _split_flows(net, z)
-    zz = np.empty(2 * net.n_roads)
-    zz[0::2], zz[1::2] = x_eq, y_eq
-    ww = np.empty(2 * net.n_roads)
-    ww[0::2], ww[1::2] = x, y
-    return float(np.dot(cost_vector(net, zz), zz - ww))
+    zz = _interleaved(net, z_eq)
+    return float(np.dot(cost_vector(net, zz), zz - _interleaved(net, z)))

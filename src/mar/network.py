@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import errors
 
@@ -450,7 +449,10 @@ def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
 
 def _decomposes(table: "PathTable", link_flows: np.ndarray, demands: np.ndarray) -> bool:
     # Feasibility LP: find path flows p >= 0 with incidence @ p = link_flows
-    # and per-OD totals equal to the demands.
+    # and per-OD totals equal to the demands. SciPy is imported here, as its
+    # only use, to keep it off the start-up path of ``import mar``.
+    from scipy.optimize import linprog
+
     n_paths = table.total_paths
     block_rows = np.zeros((len(table.blocks), n_paths))
     for i, blk in enumerate(table.blocks):

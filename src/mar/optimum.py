@@ -139,7 +139,7 @@ def solve_optimum(net: Network, cfg: OptimumConfig | None = None) -> SolveResult
         if best is None or cost < best[2] - 1e-15:
             best = (ph, pa, cost, stat, its)
     ph, pa, cost, stat, its = best
-    return _result(net, table, ph, pa, stat, its, stat <= _STATIONARITY_TOL)
+    return _result(table, ph, pa, stat, its, stat <= _STATIONARITY_TOL)
 
 
 def _compositions(n: int, parts: int) -> np.ndarray:
@@ -195,9 +195,7 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     best_point = None
     chunk = 200_000
     combos = itertools.product(*[range(s) for s in sizes])
-    combo_list = []
     total_paths = table.total_paths
-    evaluated = 0
     while True:
         combo_list = list(itertools.islice(combos, chunk))
         if not combo_list:
@@ -216,9 +214,8 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
         if costs[j] < best_cost:
             best_cost = float(costs[j])
             best_point = (pts_h[j].copy(), pts_a[j].copy())
-        evaluated += len(combo_list)
     ph, pa = best_point
-    return _result(net, table, ph, pa, 0.0, n_points, True)
+    return _result(table, ph, pa, 0.0, n_points, True)
 
 
 def grid_error_bound(net: Network, resolution: float) -> float:

@@ -31,10 +31,20 @@ class Experiment(enum.Enum):
     TIGHTNESS_PROBE = "tightness_probe"
 
 
-_EXPERIMENT_ALIASES = {
+_EXPERIMENT_NAMES = {
     "eq": Experiment.EQUILIBRIUM,
     "opt": Experiment.OPTIMUM,
+    **{experiment.value: experiment for experiment in Experiment},
 }
+
+
+def experiment_named(name: str) -> Experiment:
+    """The experiment named by a scenario's ``experiment`` field or a CLI verb;
+    ``eq`` and ``opt`` are short for ``equilibrium`` and ``optimum``."""
+    if name not in _EXPERIMENT_NAMES:
+        raise errors.SchemaError(f"scenario.experiment: unknown experiment {name!r}")
+    return _EXPERIMENT_NAMES[name]
+
 
 SWEEP_PARAMETERS = ("autonomy_share", "k_scale", "sigma", "demand_scale")
 
@@ -79,35 +89,75 @@ def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
         raise errors.SchemaError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
 
+def _value(value, kind, where: str):
+    """``value`` checked as ``kind``: float, int, str, list, an enum (given by
+    its value), or ``tuple[float, ...]`` for a list of numbers."""
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise errors.SchemaError(f"{where}: expected a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise errors.SchemaError(f"{where}: number out of range") from None
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise errors.SchemaError(f"{where}: expected an integer, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise errors.SchemaError(f"{where}: expected a string, got {value!r}")
+        return value
+    if kind is list:
+        if not isinstance(value, (list, tuple)):
+            raise errors.SchemaError(f"{where}: expected a list, got {value!r}")
+        return value
+    if kind == tuple[float, ...]:
+        return tuple(_value(v, float, where) for v in _value(value, list, where))
+    if isinstance(kind, enum.EnumMeta):
+        name = _value(value, str, where)
+        try:
+            return kind(name)
+        except ValueError:
+            choices = " or ".join(repr(member.value) for member in kind)
+            raise errors.SchemaError(f"{where}: expected {choices}, got {name!r}") from None
+    raise AssertionError(kind)
+
+
 def _get(data: Mapping, key: str, where: str, kind, required: bool = True, default=None):
     if key not in data:
         if required:
             raise errors.SchemaError(f"{where}: missing required field {key!r}")
         return default
-    value = data[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise errors.SchemaError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise errors.SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise errors.SchemaError(f"{where}.{key}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, (list, tuple)):
-            raise errors.SchemaError(f"{where}.{key}: expected a list, got {value!r}")
-        return value
-    raise AssertionError(kind)
+    return _value(data[key], kind, f"{where}.{key}")
+
+
+def _fields(data: Mapping, where: str, kinds: Mapping) -> dict:
+    """The checked fields of ``kinds`` that ``data`` gives. Absent ones are
+    left out, so the defaults of the dataclass they are passed to apply."""
+    return {key: _get(data, key, where, kind) for key, kind in kinds.items() if key in data}
+
+
+def _section(data, where: str, kinds: Mapping) -> dict:
+    """``_fields`` of an optional section; absent or null reads as empty."""
+    data = _require_mapping({} if data is None else data, where)
+    _check_keys(data, set(kinds), where)
+    return _fields(data, where, kinds)
+
+
+_ROAD_FIELDS = {"length": float, "headway": float, "platoon_headway": float,
+                "freeflow": float, "rho": float, "sigma": float,
+                "capacity_model": CapacityModel}
+_EQUILIBRIUM_FIELDS = {"max_iterations": int, "gap_tolerance": float,
+                       "step_rule": StepRule, "seed": int}
+_OPTIMUM_FIELDS = {"restarts": int, "max_iterations": int, "step_tolerance": float,
+                   "grid_resolution": float, "seed": int}
+_TIGHTNESS_FIELDS = {"ks": tuple[float, ...], "sigma": float,
+                     "rhos": tuple[float, ...], "demand": float}
 
 
 def _road_from_mapping(data: Mapping, where: str) -> Road:
     data = _require_mapping(data, where)
-    _check_keys(data, {"id", "tail", "head", "length", "headway", "platoon_headway",
-                       "freeflow", "rho", "sigma", "capacity_model", "affine"}, where)
+    _check_keys(data, {"id", "tail", "head", "affine", *_ROAD_FIELDS}, where)
     affine = None
     if data.get("affine") is not None:
         aff = _require_mapping(data["affine"], f"{where}.affine")
@@ -117,25 +167,12 @@ def _road_from_mapping(data: Mapping, where: str) -> Road:
             coef_auto=_get(aff, "coef_auto", f"{where}.affine", float),
             constant=_get(aff, "constant", f"{where}.affine", float),
         )
-    model_name = _get(data, "capacity_model", where, str, required=False, default="model1")
-    try:
-        model = CapacityModel(model_name)
-    except ValueError:
-        raise errors.SchemaError(
-            f"{where}.capacity_model: expected 'model1' or 'model2', got {model_name!r}"
-        ) from None
     return Road(
         rid=_get(data, "id", where, int),
         tail=_get(data, "tail", where, str),
         head=_get(data, "head", where, str),
-        length=_get(data, "length", where, float, required=False, default=1.0),
-        headway=_get(data, "headway", where, float, required=False, default=1.0),
-        platoon_headway=_get(data, "platoon_headway", where, float, required=False, default=1.0),
-        freeflow=_get(data, "freeflow", where, float, required=False, default=1.0),
-        rho=_get(data, "rho", where, float, required=False, default=0.15),
-        sigma=_get(data, "sigma", where, float, required=False, default=4.0),
-        capacity_model=model,
         affine=affine,
+        **_fields(data, where, _ROAD_FIELDS),
     )
 
 
@@ -164,52 +201,11 @@ def network_from_mapping(data: Mapping) -> Network:
     return Network(nodes=tuple(nodes), roads=roads, od_pairs=tuple(od_pairs))
 
 
-def _eq_config_from(data: Mapping | None, seed: int) -> EquilibriumConfig:
-    if data is None:
-        return EquilibriumConfig(seed=seed)
-    data = _require_mapping(data, "equilibrium")
-    _check_keys(data, {"max_iterations", "gap_tolerance", "step_rule", "seed"}, "equilibrium")
-    rule_name = _get(data, "step_rule", "equilibrium", str, required=False,
-                     default=StepRule.SELF_REGULATED.value)
-    try:
-        rule = StepRule(rule_name)
-    except ValueError:
-        raise errors.SchemaError(
-            f"equilibrium.step_rule: expected 'msa' or 'self-regulated', got {rule_name!r}"
-        ) from None
-    return EquilibriumConfig(
-        max_iterations=_get(data, "max_iterations", "equilibrium", int,
-                            required=False, default=100_000),
-        gap_tolerance=_get(data, "gap_tolerance", "equilibrium", float,
-                           required=False, default=1e-6),
-        step_rule=rule,
-        seed=_get(data, "seed", "equilibrium", int, required=False, default=seed),
-    )
-
-
-def _opt_config_from(data: Mapping | None, seed: int) -> OptimumConfig:
-    if data is None:
-        return OptimumConfig(seed=seed)
-    data = _require_mapping(data, "optimum")
-    _check_keys(data, {"restarts", "max_iterations", "step_tolerance",
-                       "grid_resolution", "seed"}, "optimum")
-    return OptimumConfig(
-        restarts=_get(data, "restarts", "optimum", int, required=False, default=32),
-        max_iterations=_get(data, "max_iterations", "optimum", int,
-                            required=False, default=10_000),
-        step_tolerance=_get(data, "step_tolerance", "optimum", float,
-                            required=False, default=1e-9),
-        grid_resolution=_get(data, "grid_resolution", "optimum", float,
-                             required=False, default=1e-2),
-        seed=_get(data, "seed", "optimum", int, required=False, default=seed),
-    )
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text into a Scenario."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise errors.SchemaError(f"invalid JSON: {exc}") from None
     data = _require_mapping(data, "scenario")
     _check_keys(data, {"schema_version", "experiment", "seed", "network",
@@ -217,15 +213,7 @@ def parse_scenario(text: str) -> Scenario:
     version = _get(data, "schema_version", "scenario", str)
     if version != "1":
         raise errors.SchemaError(f"scenario.schema_version: unrecognized version {version!r}")
-    exp_name = _get(data, "experiment", "scenario", str)
-    experiment = _EXPERIMENT_ALIASES.get(exp_name)
-    if experiment is None:
-        try:
-            experiment = Experiment(exp_name)
-        except ValueError:
-            raise errors.SchemaError(
-                f"scenario.experiment: unknown experiment {exp_name!r}"
-            ) from None
+    experiment = experiment_named(_get(data, "experiment", "scenario", str))
     seed = _get(data, "seed", "scenario", int, required=False, default=0)
 
     network = None
@@ -248,25 +236,17 @@ def parse_scenario(text: str) -> Scenario:
     elif experiment is Experiment.SWEEP:
         raise errors.SchemaError("scenario: sweep experiment requires a 'sweep' section")
 
-    tightness = TightnessSpec()
-    if data.get("tightness") is not None:
-        tg = _require_mapping(data["tightness"], "tightness")
-        _check_keys(tg, {"ks", "sigma", "rhos", "demand"}, "tightness")
-        tightness = TightnessSpec(
-            ks=tuple(float(v) for v in _get(tg, "ks", "tightness", list,
-                                            required=False, default=[1.0, 1.5, 2.0, 3.0])),
-            sigma=_get(tg, "sigma", "tightness", float, required=False, default=1.0),
-            rhos=tuple(float(v) for v in _get(tg, "rhos", "tightness", list,
-                                              required=False, default=[10.0, 100.0])),
-            demand=_get(tg, "demand", "tightness", float, required=False, default=1.0),
-        )
-
+    tightness = TightnessSpec(**_section(data.get("tightness"), "tightness",
+                                         _TIGHTNESS_FIELDS))
+    # the solver seeds default to the scenario's
+    eq_fields = _section(data.get("equilibrium"), "equilibrium", _EQUILIBRIUM_FIELDS)
+    opt_fields = _section(data.get("optimum"), "optimum", _OPTIMUM_FIELDS)
     return Scenario(
         schema_version=version,
         experiment=experiment,
         network=network,
-        eq_config=_eq_config_from(data.get("equilibrium"), seed),
-        opt_config=_opt_config_from(data.get("optimum"), seed),
+        eq_config=EquilibriumConfig(**{"seed": seed, **eq_fields}),
+        opt_config=OptimumConfig(**{"seed": seed, **opt_fields}),
         sweep=sweep,
         tightness=tightness,
         seed=seed,

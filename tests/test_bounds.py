@@ -284,6 +284,11 @@ class TestTightnessProbe:
         assert points[0].best_ratio >= 1.5
         assert points[0].best_ratio <= points[0].bound_combined + 2e-3
 
+    @pytest.mark.parametrize("ks, rhos", [((), (10.0,)), ((2.0,), ())])
+    def test_empty_ks_or_rhos_rejected(self, ks, rhos):
+        with pytest.raises(errors.InvalidParameterError):
+            mar.tightness_probe(ks=ks, rhos=rhos)
+
     def test_aggregate_equilibrium_cost_identity(self, rng):
         # the single-class aggregate curves anchored at an equilibrium
         # reproduce its social cost exactly

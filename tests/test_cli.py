@@ -1,13 +1,15 @@
+import copy
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mar
 from mar import errors
 from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
-from mar.scenario import parse_scenario
+from mar.scenario import Scenario, parse_scenario
 
 from factories import symmetric_pair
 
@@ -82,6 +84,97 @@ class TestParseScenario:
         assert sc.eq_config.max_iterations == 50
         assert sc.eq_config.step_rule is mar.StepRule.MSA
         assert sc.opt_config.restarts == 3
+
+    @pytest.mark.parametrize("key, values", [
+        ("ks", ["a"]), ("ks", [True]), ("ks", [1.0, [2.0]]), ("rhos", [None])])
+    def test_tightness_list_entries_must_be_numbers(self, key, values):
+        text = scenario_text(experiment="tightness_probe", tightness={key: values})
+        with pytest.raises(errors.SchemaError, match=f"tightness.{key}"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000,  # nested deeper than the decoder recurses
+        '{"schema_version": "1", "seed": 1' + "0" * 5000 + "}",  # too many digits
+        scenario_text(tightness={"demand": 10 ** 400}),  # beyond float range
+    ])
+    def test_oversized_input_is_a_schema_error(self, text):
+        with pytest.raises(errors.SchemaError):
+            parse_scenario(text)
+
+    def test_empty_tightness_list_fails_typed(self):
+        sc = parse_scenario(scenario_text(experiment="tightness_probe",
+                                          tightness={"rhos": []}))
+        with pytest.raises(errors.InvalidParameterError):
+            run(sc)
+
+
+# A scenario using every section, for the mutation property below.
+FULL = {
+    **MINIMAL,
+    "experiment": "sweep",
+    "seed": 3,
+    "network": {
+        **MINIMAL["network"],
+        "roads": [
+            {"id": 1, "tail": "s", "head": "t", "length": 1.0, "headway": 2.0,
+             "platoon_headway": 1.0, "freeflow": 1.0, "rho": 1.0, "sigma": 1.0,
+             "capacity_model": "model2"},
+            {"id": 2, "tail": "s", "head": "t",
+             "affine": {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}},
+        ],
+    },
+    "equilibrium": {"max_iterations": 50, "gap_tolerance": 1e-4, "step_rule": "msa",
+                    "seed": 1},
+    "optimum": {"restarts": 2, "max_iterations": 10, "step_tolerance": 1e-9,
+                "grid_resolution": 0.1, "seed": 2},
+    "sweep": {"parameter": "autonomy_share", "start": 0.0, "stop": 1.0, "steps": 3},
+    "tightness": {"ks": [1.0, 2.0], "sigma": 1.0, "rhos": [10.0], "demand": 1.0},
+}
+
+
+def _containers(doc):
+    """Every object and nonempty list in a JSON document, the document first."""
+    found = [doc] if isinstance(doc, dict) or (isinstance(doc, list) and doc) else []
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    for child in children:
+        found.extend(_containers(child))
+    return found
+
+
+def _keys(doc):
+    if isinstance(doc, dict):
+        return set(doc).union(*(_keys(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(_keys(v) for v in doc))
+    return set()
+
+
+FIELD_NAMES = sorted(_keys(FULL))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_scenario_returns_scenario_or_raises_mar_error(data):
+    # put random JSON values at random keys (known field names included, so
+    # fields land in the wrong sections too) and at random list positions
+    doc = copy.deepcopy(FULL)
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(_containers(doc)))
+        if isinstance(target, dict):
+            key = data.draw(st.sampled_from(FIELD_NAMES) | st.text(max_size=6))
+        else:
+            key = data.draw(st.integers(0, len(target) - 1))
+        target[key] = data.draw(JSON_VALUES)
+    try:
+        result = parse_scenario(json.dumps(doc))
+    except errors.MarError:
+        return
+    assert isinstance(result, Scenario)
 
 
 class TestApplySweep:

@@ -87,6 +87,20 @@ class TestLinkCost:
         assert mar.link_cost(road, 2.0, 0.0) == 7.0
 
 
+    def test_kernel_matches_capacity_rule(self, rng):
+        # the vectorized kernel expands (x+y)/capacity in closed form; the
+        # capacity rule is the reference it must agree with
+        for _ in range(200):
+            road = random_road(rng, 1, "s", "t", monotone_envelope=False)
+            road = mar.Road(**{**road.__dict__, "length": float(rng.uniform(0.5, 5.0)),
+                               "freeflow": float(rng.uniform(0.5, 3.0))})
+            x, y = (float(v) for v in rng.uniform(0, 5, size=2))
+            for fx, fy in ((x, y), (0.0, 0.0), (x, 0.0), (0.0, y)):
+                expected = road.freeflow * (
+                    1.0 + road.rho * ((fx + fy) / mar.capacity(road, fx, fy)) ** road.sigma)
+                assert mar.link_cost(road, fx, fy) == pytest.approx(expected, rel=1e-12)
+
+
 class TestCostVector:
     def test_zero_flow_single_road(self):
         net = parallel_net([dict(freeflow=3.0, rho=1.0, sigma=1.0)],

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +82,15 @@ def test_build_network_from_mapping():
     })
     assert net.n_roads == 2
     assert net.road(2).sigma == 1.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only check_feasible needs scipy.optimize; it imports it on first use
+    src = str(Path(mar.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mar; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestEnumeratePaths:

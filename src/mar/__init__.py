@@ -77,10 +77,19 @@ from .scenario import (
     demo_scenario,
     parse_scenario,
 )
-from .cli import apply_sweep_parameter, main, run
 from . import errors
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("apply_sweep_parameter", "main", "run")
+
+
+def __getattr__(name: str):
+    # mar.cli loads on first use, so ``python -m mar.cli`` finds it unimported
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineMixed", "AggregateCost", "BoundsReport", "CapacityModel", "DEMO_NAMES",

@@ -83,17 +83,22 @@ def _congestion_ratio(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.where(p.model2, r2, r1)
 
 
-def _latencies(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _congestion_ratio(p, x, y)
+def _latency_at(p: _RoadArrays, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Latency per road given the congestion ratio ``r`` at flows (x, y)."""
     bpr = p.freeflow * (1.0 + p.rho * r ** p.sigma)
     if not p.affine.any():
         return bpr
     return np.where(p.affine, p.ax * x + p.ay * y + p.a0, bpr)
 
 
+def _latencies(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _latency_at(p, x, y, _congestion_ratio(p, x, y))
+
+
 def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
-    """(dc/dx, dc/dy) per road. At zero total flow the autonomy level is taken
-    as 0, matching the zero-flow convention of the cost itself."""
+    """(c, dc/dx, dc/dy) per road: the latency and its partials, from one
+    congestion ratio. At zero total flow the autonomy level is taken as 0,
+    matching the zero-flow convention of the cost itself."""
     t = x + y
     safe_t = np.where(t > 0, t, 1.0)
     alpha = np.where(t > 0, y / safe_t, 0.0)
@@ -110,7 +115,7 @@ def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     if p.affine.any():
         dcdx = np.where(p.affine, p.ax, dcdx)
         dcdy = np.where(p.affine, p.ay, dcdy)
-    return dcdx, dcdy
+    return _latency_at(p, x, y, r), dcdx, dcdy
 
 
 def _check_flow_pair(x: float, y: float) -> None:
@@ -192,7 +197,7 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
     that visit the origin well behaved.
     """
     x, y = _split_flows(net, z)
-    dcdx, dcdy = _latency_partials(_net_arrays(net), x, y)
+    _, dcdx, dcdy = _latency_partials(_net_arrays(net), x, y)
     n = net.n_roads
     jac = np.zeros((2 * n, 2 * n))
     for i in range(n):

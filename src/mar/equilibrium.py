@@ -169,8 +169,7 @@ def _support_polish(table: PathTable, params, ph: np.ndarray, pa: np.ndarray,
                     p[j] = 0.0
     for _ in range(rounds):
         x, y = table.link_flows(ph, pa)
-        c = _latencies(params, x, y)
-        dcdx, dcdy = _latency_partials(params, x, y)
+        c, dcdx, dcdy = _latency_partials(params, x, y)
         cp = incidence.T @ c
         rows = []
         rhs = []

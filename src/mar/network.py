@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +28,12 @@ from . import errors
 
 #: A directed path, written as the sequence of road ids it traverses.
 Path = tuple[int, ...]
+
+
+def _check_finite(owner: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise errors.InvalidParameterError(f"{owner}: {name} must be finite, got {value}")
 
 
 class CapacityModel(enum.Enum):
@@ -54,6 +61,8 @@ class AffineMixed:
     constant: float
 
     def __post_init__(self) -> None:
+        _check_finite("affine cost", coef_human=self.coef_human, coef_auto=self.coef_auto,
+                      constant=self.constant)
         if min(self.coef_human, self.coef_auto, self.constant) < 0:
             raise errors.InvalidParameterError(
                 "affine cost coefficients must be nonnegative, got "
@@ -84,6 +93,9 @@ class Road:
     affine: AffineMixed | None = None
 
     def __post_init__(self) -> None:
+        _check_finite(f"road {self.rid}", length=self.length, headway=self.headway,
+                      platoon_headway=self.platoon_headway, freeflow=self.freeflow,
+                      rho=self.rho, sigma=self.sigma)
         if self.length <= 0:
             raise errors.InvalidParameterError(f"road {self.rid}: length must be > 0")
         if self.headway <= 0 or self.platoon_headway <= 0:
@@ -122,6 +134,8 @@ class ODPair:
     demand_auto: float
 
     def __post_init__(self) -> None:
+        _check_finite(f"OD ({self.origin}->{self.destination})",
+                      demand_human=self.demand_human, demand_auto=self.demand_auto)
         if self.demand_human < 0 or self.demand_auto < 0:
             raise errors.InvalidParameterError(
                 f"OD ({self.origin}->{self.destination}): demands must be >= 0"

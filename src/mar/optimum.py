@@ -10,7 +10,6 @@ equilibrium cost against the true optimum cost.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, replace
 
@@ -24,6 +23,13 @@ from .equilibrium import SolveResult, _result
 log = logging.getLogger("mar.optimum")
 
 _STATIONARITY_TOL = 1e-6
+#: Consecutive Armijo halvings evaluated per kernel call while backtracking.
+_BACKTRACK_BATCH = 4
+#: Armijo tries per iteration, and the halved step below which tries stop.
+_MAX_TRIES = 60
+_MIN_STEP = 1e-16
+#: Restart costs within this relative distance of the lowest one are tied.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,103 +49,178 @@ class OptimumConfig:
             raise errors.InvalidParameterError("max_iterations must be >= 1")
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum(p) = total}."""
-    if total <= 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
+@dataclass(frozen=True)
+class _Blocks:
+    """The OD-class simplices of a stacked ``[human | auto]`` path-flow row,
+    padded to a common width: ``columns[b, j]`` is the row column of path j
+    of block b (human blocks, then auto blocks, OD by OD) where ``valid[b, j]``,
+    and ``totals[b]`` is the block's demand."""
+
+    columns: np.ndarray
+    valid: np.ndarray
+    totals: np.ndarray
+
+
+def _blocks(table: PathTable) -> _Blocks:
+    n = table.total_paths
+    spans = [(blk.start, blk.stop) for blk in table.blocks]
+    spans += [(n + start, n + stop) for start, stop in spans]
+    width = max(stop - start for start, stop in spans)
+    offsets = np.arange(width)
+    starts = np.array([start for start, _ in spans])
+    valid = offsets < np.array([stop - start for start, stop in spans])[:, None]
+    columns = np.where(valid, starts[:, None] + offsets, starts[:, None])
+    totals = np.concatenate([table.demand_human, table.demand_auto])
+    return _Blocks(columns, valid, totals)
+
+
+def _project(v: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """Euclidean projection of every row of ``v`` onto the product of the
+    simplices ``{p >= 0, sum(p) = total}``, by one padded sort over all rows
+    and blocks (Duchi et al., ICML 2008). Zero-demand blocks project to 0."""
+    w = v[:, blocks.columns]
+    # descending sort; the -inf padding lands after each block's entries
+    u = np.sort(np.where(blocks.valid, w, -np.inf), axis=-1)[..., ::-1]
+    css = np.cumsum(np.where(blocks.valid, u, 0.0), axis=-1) - blocks.totals[:, None]
+    idx = np.arange(1, u.shape[-1] + 1)
     cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    rho = u.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1)  # last True
+    tau = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
+    proj = np.where(blocks.totals[:, None] > 0, np.maximum(w - tau, 0.0), 0.0)
+    out = np.empty_like(v)
+    out[:, blocks.columns[blocks.valid]] = proj[:, blocks.valid]
+    return out
 
 
-def _project(table: PathTable, ph: np.ndarray, pa: np.ndarray):
-    for i, blk in enumerate(table.blocks):
-        ph[blk] = _project_simplex(ph[blk], float(table.demand_human[i]))
-        pa[blk] = _project_simplex(pa[blk], float(table.demand_auto[i]))
-    return ph, pa
+def _class_norms(v: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the human norm plus the auto norm of a stacked array."""
+    return np.linalg.norm(v.reshape(len(v), 2, n), axis=2).sum(axis=1)
 
 
-def _cost_and_grad(table: PathTable, params, ph, pa, want_grad=True):
-    x, y = table.link_flows(ph, pa)
-    c = _latencies(params, x, y)
-    total = float(np.dot(c, x + y))
+def _cost_and_grad(table: PathTable, params, z: np.ndarray, want_grad=True):
+    """Social cost of every row of stacked path flows ``z`` and, if asked,
+    its gradient in the same layout."""
+    n = table.total_paths
+    xy = z.reshape(len(z), 2, n) @ table.incidence.T
+    x, y = xy[:, 0], xy[:, 1]
+    t = x + y
     if not want_grad:
-        return total, None, None
-    dcdx, dcdy = _latency_partials(params, x, y)
-    gx = c + (x + y) * dcdx
-    gy = c + (x + y) * dcdy
-    return total, table.incidence.T @ gx, table.incidence.T @ gy
+        return np.sum(_latencies(params, x, y) * t, axis=1), None
+    c, dcdx, dcdy = _latency_partials(params, x, y)
+    grad = np.stack([c + t * dcdx, c + t * dcdy], axis=1) @ table.incidence
+    return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
 
 
-def _pgd(table: PathTable, params, ph, pa, cfg: OptimumConfig):
-    """Projected gradient descent with Armijo backtracking from one start."""
-    cost, gh, ga = _cost_and_grad(table, params, ph, pa)
-    scale = 1.0 + float(np.hypot(np.linalg.norm(gh), np.linalg.norm(ga)))
-    step = min(1.0, 1.0 / scale)
-    iterations = 0
-    stalls = 0
+def _backtrack(table: PathTable, params, blocks: _Blocks, z, grad, cost, step):
+    """Armijo backtracking for every row at once.
+
+    Try ``t`` of a row uses the step ``step * 2**-t``. As in sequential
+    halving, a row makes at most ``_MAX_TRIES`` tries and stops trying once
+    the halved step falls below ``_MIN_STEP``. Each kernel call evaluates the
+    next ``_BACKTRACK_BATCH`` tries of every undecided row; a row takes its
+    first accepted try. Returns (accepted mask, step, point, cost); the last
+    three only mean something where a row was accepted.
+    """
+    accepted = np.zeros(len(z), dtype=bool)
+    new_step = step.copy()
+    new_z = z.copy()
+    new_cost = cost.copy()
+    pending = np.arange(len(z))
+    for first in range(0, _MAX_TRIES, _BACKTRACK_BATCH):
+        k = np.arange(first, min(first + _BACKTRACK_BATCH, _MAX_TRIES))
+        steps = step[pending, None] * 0.5 ** k
+        tried = (k == 0) | (steps >= _MIN_STEP)
+        base = z[pending, None, :]
+        slope = grad[pending, None, :]
+        cand = _project((base - steps[..., None] * slope).reshape(-1, z.shape[1]), blocks)
+        cand = cand.reshape(len(pending), len(k), z.shape[1])
+        cand_cost = _cost_and_grad(table, params, cand.reshape(-1, z.shape[1]),
+                                   want_grad=False)[0].reshape(steps.shape)
+        direction = np.sum(slope * (cand - base), axis=-1)
+        ok = tried & (cand_cost <= cost[pending, None] + 1e-4 * direction)
+        hit = ok.any(axis=1)
+        rows, pick = pending[hit], np.argmax(ok[hit], axis=1)
+        accepted[rows] = True
+        new_step[rows] = steps[hit, pick]
+        new_z[rows] = cand[hit, pick]
+        new_cost[rows] = cand_cost[hit, pick]
+        # a row whose tries ran out inside this batch stops without a move
+        pending = pending[~hit & tried[:, -1]]
+        if pending.size == 0:
+            break
+    return accepted, new_step, new_z, new_cost
+
+
+def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
+    """Projected gradient descent with Armijo backtracking from every row of
+    ``z`` at once. Each row keeps its own step and stop rules; a stopped row
+    is left out of later iterations. Returns (points, costs, stationarity,
+    iterations), one entry per row."""
+    n = table.total_paths
+    blocks = _blocks(table)
+    cost, grad = _cost_and_grad(table, params, z)
+    norms = np.linalg.norm(grad.reshape(len(z), 2, n), axis=2)
+    step = np.minimum(1.0, 1.0 / (1.0 + np.hypot(norms[:, 0], norms[:, 1])))
+    iterations = np.zeros(len(z), dtype=int)
+    stalls = np.zeros(len(z), dtype=int)
+    live = np.arange(len(z))
     for it in range(cfg.max_iterations):
-        iterations = it + 1
-        moved = False
-        for _ in range(60):
-            cand_h, cand_a = _project(table, ph - step * gh, pa - step * ga)
-            direction = float(np.dot(gh, cand_h - ph) + np.dot(ga, cand_a - pa))
-            cand_cost, _, _ = _cost_and_grad(table, params, cand_h, cand_a, want_grad=False)
-            if cand_cost <= cost + 1e-4 * direction:
-                moved = True
-                break
-            step *= 0.5
-            if step < 1e-16:
-                break
-        if not moved:
+        if live.size == 0:
             break
-        move = float(np.linalg.norm(cand_h - ph) + np.linalg.norm(cand_a - pa))
-        improvement = cost - cand_cost
-        ph, pa = cand_h, cand_a
-        cost, gh, ga = _cost_and_grad(table, params, ph, pa)
-        step = min(step * 2.0, 1e3)
-        if move <= cfg.step_tolerance * (1.0 + float(np.linalg.norm(ph) + np.linalg.norm(pa))):
-            break
+        iterations[live] = it + 1
+        moved, new_step, cand, cand_cost = _backtrack(
+            table, params, blocks, z[live], grad[live], cost[live], step[live])
+        # a row that found no acceptable step stops where it is
+        live = live[moved]
+        cand, cand_cost = cand[moved], cand_cost[moved]
+        move = _class_norms(cand - z[live], n)
+        improvement = cost[live] - cand_cost
+        z[live] = cand
+        cost[live], grad[live] = _cost_and_grad(table, params, cand)
+        step[live] = np.minimum(new_step[moved] * 2.0, 1e3)
+        done = move <= cfg.step_tolerance * (1.0 + _class_norms(cand, n))
         # flat equal-cost manifolds (identical headways) admit endless
         # zero-improvement moves; stop once progress is numerically dead
-        stalls = stalls + 1 if improvement <= 1e-14 * (1.0 + abs(cost)) else 0
-        if stalls >= 3:
-            break
+        flat = improvement <= 1e-14 * (1.0 + np.abs(cost[live]))
+        stalls[live] = np.where(flat, stalls[live] + 1, 0)
+        live = live[~(done | (stalls[live] >= 3))]
     # gradient-mapping stationarity at unit step, scaled by cost
-    pm_h, pm_a = _project(table, ph - gh, pa - ga)
-    grad_map = float(np.linalg.norm(ph - pm_h) + np.linalg.norm(pa - pm_a))
-    stationarity = grad_map / max(cost, 1e-12)
-    return ph, pa, cost, stationarity, iterations
+    grad_map = _class_norms(z - _project(z - grad, blocks), n)
+    return z, cost, grad_map / np.maximum(cost, 1e-12), iterations
+
+
+def _winner(costs: np.ndarray) -> int:
+    """The lowest-cost restart; costs within ``_TIE_RTOL * (1 + |cost|)`` of
+    the lowest are tied and go to the lowest restart index."""
+    low = costs.min()
+    return int(np.argmax(costs <= low + _TIE_RTOL * (1.0 + abs(low))))
 
 
 def solve_optimum(net: Network, cfg: OptimumConfig | None = None) -> SolveResult:
     """Best local minimizer of social cost found across restarts.
 
     Restart 0 starts from the uniform split; the rest from Dirichlet-random
-    simplex points seeded by ``cfg.seed``. Results merge by cost, then restart
-    order, so the outcome is deterministic. ``relative_gap`` carries the
+    simplex points seeded by ``cfg.seed``. All restarts descend together as
+    one batched projected-gradient solve, each with its own step and stop
+    rules. The winner is the lowest cost; restarts whose costs lie within
+    ``1e-12 * (1 + |cost|)`` of it are tied and the lowest restart index
+    wins, so the outcome is deterministic. ``relative_gap`` carries the
     projected-gradient stationarity measure of the winner.
     """
     cfg = cfg or OptimumConfig()
     table = path_table(net)
     params = _net_arrays(net)
     rng = np.random.default_rng(cfg.seed)
-    best = None
+    starts = [table.uniform_start()]
+    starts += [table.random_start(rng) for _ in range(1, cfg.restarts)]
+    z = np.array([np.concatenate(start) for start in starts])
+    z, cost, stat, iterations = _descend(table, params, z, cfg)
     for r in range(cfg.restarts):
-        if r == 0:
-            ph, pa = table.uniform_start()
-        else:
-            ph, pa = table.random_start(rng)
-        ph, pa, cost, stat, its = _pgd(table, params, ph, pa, cfg)
-        log.debug("restart %d: cost %.6g, stationarity %.2e", r, cost, stat)
-        if best is None or cost < best[2] - 1e-15:
-            best = (ph, pa, cost, stat, its)
-    ph, pa, cost, stat, its = best
-    return _result(table, ph, pa, stat, its, stat <= _STATIONARITY_TOL)
+        log.debug("restart %d: cost %.6g, stationarity %.2e", r, cost[r], stat[r])
+    r = _winner(cost)
+    n = table.total_paths
+    return _result(table, z[r, :n], z[r, n:], float(stat[r]), int(iterations[r]),
+                   bool(stat[r] <= _STATIONARITY_TOL))
 
 
 def _compositions(n: int, parts: int) -> np.ndarray:
@@ -194,28 +275,20 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     best_cost = np.inf
     best_point = None
     chunk = 200_000
-    combos = itertools.product(*[range(s) for s in sizes])
-    total_paths = table.total_paths
-    while True:
-        combo_list = list(itertools.islice(combos, chunk))
-        if not combo_list:
-            break
-        pts_h = np.empty((len(combo_list), total_paths))
-        pts_a = np.empty((len(combo_list), total_paths))
-        idx = np.array(combo_list)
+    n = table.total_paths
+    for lo in range(0, n_points, chunk):
+        # grid points in lexicographic order of their per-block indices
+        idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), sizes)
+        pts = np.empty((idx[0].size, 2 * n))
         for i, blk in enumerate(table.blocks):
-            pts_h[:, blk] = grids[i][idx[:, i]]
-            pts_a[:, blk] = grids[n_od + i][idx[:, n_od + i]]
-        x = pts_h @ table.incidence.T
-        y = pts_a @ table.incidence.T
-        c = _latencies(params, x, y)
-        costs = np.sum(c * (x + y), axis=1)
+            pts[:, blk] = grids[i][idx[i]]
+            pts[:, n + blk.start:n + blk.stop] = grids[n_od + i][idx[n_od + i]]
+        costs = _cost_and_grad(table, params, pts, want_grad=False)[0]
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_point = (pts_h[j].copy(), pts_a[j].copy())
-    ph, pa = best_point
-    return _result(table, ph, pa, 0.0, n_points, True)
+            best_point = pts[j].copy()
+    return _result(table, best_point[:n], best_point[n:], 0.0, n_points, True)
 
 
 def grid_error_bound(net: Network, resolution: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -96,9 +97,12 @@ def _value(value, kind, where: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise errors.SchemaError(f"{where}: expected a number, got {value!r}")
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise errors.SchemaError(f"{where}: number out of range") from None
+        if not math.isfinite(number):
+            raise errors.SchemaError(f"{where}: expected a finite number, got {value!r}")
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise errors.SchemaError(f"{where}: expected an integer, got {value!r}")

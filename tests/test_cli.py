@@ -2,6 +2,10 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +103,18 @@ class TestParseScenario:
     ])
     def test_oversized_input_is_a_schema_error(self, text):
         with pytest.raises(errors.SchemaError):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("text, field", [
+        (scenario_text(experiment="tightness_probe", tightness={"ks": [1e999]}),
+         "tightness.ks"),
+        (scenario_text().replace('"demand_human": 1.0', '"demand_human": NaN'),
+         "demand_human"),
+        (scenario_text().replace('"rho": 1.0', '"rho": Infinity', 1), "rho"),
+        (scenario_text().replace('"headway": 1.0', '"headway": -Infinity', 1), "headway"),
+    ])
+    def test_non_finite_number_is_a_schema_error(self, text, field):
+        with pytest.raises(errors.SchemaError, match=field):
             parse_scenario(text)
 
     def test_empty_tightness_list_fails_typed(self):
@@ -369,3 +385,13 @@ class TestMainCli:
                                     "experiment": "tightness_probe"}))
         assert main(["eq", "--scenario", str(path)]) == 1
         assert "network" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # ``import mar`` must not load mar.cli, or runpy warns on ``-m mar.cli``
+        env = {**os.environ, "PYTHONPATH": str(Path(mar.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-W", "error", "-m", "mar.cli", "--help"],
+                       env=env, capture_output=True, check=True)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, mar; print('mar.cli' in sys.modules, mar.run)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.startswith("False <function run")

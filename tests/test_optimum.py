@@ -1,9 +1,49 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 import mar
 from mar import errors
+from mar.costs import _net_arrays
+from mar.optimum import _backtrack, _blocks, _cost_and_grad, _descend, _project, _winner
 
 from factories import designated_two_road, parallel_net, random_network, symmetric_pair
+
+
+def reference_projection(v, total):
+    """Projection of one block onto {p >= 0, sum(p) = total} by the plain
+    sort-and-threshold rule, one block at a time."""
+    if total <= 0:
+        return np.zeros_like(v)
+    u = sorted(v, reverse=True)
+    running = 0.0
+    tau = None
+    for j, value in enumerate(u):
+        running += value
+        if value - (running - total) / (j + 1) > 0:
+            tau = (running - total) / (j + 1)
+    return np.maximum(v - tau, 0.0)
+
+
+def sequential_backtrack(table, params, blocks, z, grad, cost, step):
+    """Armijo backtracking of one row by one halving at a time."""
+    for _ in range(60):
+        cand = _project((z - step * grad)[None, :], blocks)
+        direction = float(np.dot(grad, cand[0] - z))
+        cand_cost = _cost_and_grad(table, params, cand, want_grad=False)[0][0]
+        if cand_cost <= cost + 1e-4 * direction:
+            return True, step
+        step *= 0.5
+        if step < 1e-16:
+            break
+    return False, step
+
+
+def class_blocks(table):
+    """Column ranges of the human blocks, then the auto blocks, of a stacked row."""
+    n = table.total_paths
+    return table.blocks + tuple(slice(blk.start + n, blk.stop + n) for blk in table.blocks)
 
 
 class TestSolveOptimum:
@@ -31,6 +71,72 @@ class TestSolveOptimum:
         eq = mar.solve_equilibrium(net)
         opt = mar.solve_optimum(net, mar.OptimumConfig(restarts=8))
         assert opt.social_cost <= eq.social_cost * (1 + 1e-6)
+
+
+class TestBatchedDescent:
+    def test_projection_matches_per_block_reference(self, rng):
+        # unequal block lengths, 1-path blocks and zero-demand blocks
+        lengths = [1, 4, 2, 5, 1]
+        stops = np.cumsum(lengths)
+        table = SimpleNamespace(
+            total_paths=int(stops[-1]),
+            blocks=tuple(slice(int(b - m), int(b)) for b, m in zip(stops, lengths)),
+            demand_human=np.array([1.5, 0.0, 2.0, 0.7, 0.0]),
+            demand_auto=np.array([0.0, 1.2, 0.3, 0.0, 2.5]))
+        blocks = _blocks(table)
+        totals = np.concatenate([table.demand_human, table.demand_auto])
+        v = rng.normal(scale=2.0, size=(50, 2 * table.total_paths))
+        v[::2] = np.round(v[::2])  # ties
+        v[1] = 0.0
+        out = _project(v, blocks)
+        for row_in, row_out in zip(v, out):
+            for b, blk in enumerate(class_blocks(table)):
+                expect = reference_projection(row_in[blk], totals[b])
+                np.testing.assert_allclose(row_out[blk], expect, rtol=0, atol=1e-12)
+
+    def test_batched_backtracking_matches_sequential_halving(self, rng):
+        net = parallel_net([dict(headway=2.0, platoon_headway=1.0, rho=1.0, sigma=4.0),
+                            dict(rho=0.5, sigma=2.0), dict(rho=2.0, sigma=1.0)],
+                           demand_human=3.0, demand_auto=2.0)
+        table = mar.path_table(net)
+        params = _net_arrays(net)
+        blocks = _blocks(table)
+        z = np.array([np.concatenate(table.random_start(rng)) for _ in range(24)])
+        cost, grad = _cost_and_grad(table, params, z)
+        grad[::3] *= -1.0  # ascent directions exhaust the tries
+        step = 10.0 ** rng.uniform(-16, 3, size=len(z))
+        step[:4] = [1e3, 1e-15, 1e-16, 1.0]
+        ok, new_step, _, _ = _backtrack(table, params, blocks, z, grad, cost, step)
+        tries = []
+        for r in range(len(z)):
+            expect_ok, expect_step = sequential_backtrack(table, params, blocks, z[r],
+                                                          grad[r], cost[r], step[r])
+            assert ok[r] == expect_ok
+            if expect_ok:
+                assert new_step[r] == expect_step
+                tries.append(round(np.log2(step[r] / expect_step)))
+        assert max(tries) >= 4  # some row needed more than one batch of halvings
+        assert not ok.all()
+
+    def test_ties_within_relative_tolerance_go_to_lower_index(self):
+        assert _winner(np.array([3.0, 1.0 + 1e-12, 1.0, 2.0])) == 1
+        assert _winner(np.array([1e6 * (1 + 5e-13), 1e6])) == 0
+        assert _winner(np.array([1.0 + 1e-11, 1.0])) == 1
+        assert _winner(np.array([2.0, 2.0, 2.0])) == 0
+
+    def test_every_restart_stays_feasible(self, rng):
+        cfg = mar.OptimumConfig(restarts=5, max_iterations=200)
+        for _ in range(6):
+            net = random_network(rng)
+            table = mar.path_table(net)
+            z = np.array([np.concatenate(table.random_start(rng)) for _ in range(cfg.restarts)])
+            z, cost, _, iterations = _descend(table, _net_arrays(net), z, cfg)
+            demands = np.concatenate([table.demand_human, table.demand_auto])
+            sums = np.array([[row[blk].sum() for blk in class_blocks(table)] for row in z])
+            np.testing.assert_allclose(sums, np.tile(demands, (len(z), 1)),
+                                       rtol=1e-12, atol=1e-12)
+            assert (z >= 0).all()
+            assert ((iterations >= 1) & (iterations <= cfg.max_iterations)).all()
 
 
 class TestBruteForceOptimum:

@@ -363,8 +363,6 @@ def empirical_poa(
     net: Network,
     eq_cfg: EquilibriumConfig | None = None,
     opt_cfg: OptimumConfig | None = None,
-    *,
-    use_brute_force: bool = True,
 ) -> PoAOutcome:
     """Solve for an equilibrium and an optimum and report their cost ratio.
 
@@ -376,10 +374,7 @@ def empirical_poa(
     _require_bpr(net, "empirical_poa")
     opt_cfg = opt_cfg or OptimumConfig()
     eq = solve_equilibrium(net, eq_cfg)
-    if use_brute_force:
-        opt, oracle = _best_optimum(net, opt_cfg)
-    else:
-        opt, oracle = solve_optimum(net, opt_cfg), "local-search"
+    opt, oracle = _best_optimum(net, opt_cfg)
     flags = []
     if not eq.converged:
         flags.append("eq-unconverged")

@@ -10,12 +10,12 @@ Two averaging step rules are available. Plain MSA averages the all-or-nothing
 assignment with step ``1/(iteration+1)``. The self-regulated variant (the
 default) grows the step denominator slowly while the gap improves and quickly
 when it deteriorates. Averaging alone oscillates around the equilibrium with
-amplitude proportional to the step, so once the gap is small the solver
-switches to proportional cost-equalization steps (whose rest points are
-exactly the Wardrop points), each accepted only when the measured gap drops,
-with a least-squares support polish for stall points that need a pure
-class-composition exchange. Every returned answer is certified by
-``relative_gap``.
+amplitude proportional to the step, so once the gap is below 1e-2 the solver
+switches to steps along one proportional-swap field (whose rest points are
+exactly the Wardrop points), each accepted only when the measured gap drops.
+When the swap step stalls, a least-squares support polish makes the pure
+class-composition exchange the field cannot express. Every returned answer is
+certified by ``relative_gap``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class EquilibriumConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise errors.InvalidParameterError("max_iterations must be >= 1")
-        if self.gap_tolerance <= 0:
-            raise errors.InvalidParameterError("gap_tolerance must be > 0")
+        if not 0 < self.gap_tolerance < np.inf:
+            raise errors.InvalidParameterError("gap_tolerance must be finite and > 0")
         if isinstance(self.step_rule, str):
             object.__setattr__(self, "step_rule", StepRule(self.step_rule))
 
@@ -111,42 +111,36 @@ def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
     return gap_abs / total_cost, gap_abs, c_road, aon
 
 
-def _swap_directions(table: PathTable, c_road: np.ndarray,
-                     ph: np.ndarray, pa: np.ndarray):
-    """Two proportional-swap directions with complementary failure modes.
+def _swap_direction(table: PathTable, c_road: np.ndarray,
+                    ph: np.ndarray, pa: np.ndarray):
+    """Proportional-swap direction, stationary exactly at Wardrop points.
 
-    Pairwise: flow leaves each path toward every cheaper path of its OD block
-    at a rate proportional to the cost difference (continuous in the costs).
-    Collect: all excess-weighted outflow lands on the block's cheapest path.
-    Both are stationary exactly at Wardrop points. Yields
-    (human dir, auto dir, max per-unit outflow rate) per variant.
+    Flow leaves each path toward every cheaper path of its OD block at a rate
+    proportional to the cost difference (Smith's pairwise swap), and in
+    addition toward the block's cheapest path at a rate equal to its excess
+    over that path's cost. Returns (human dir, auto dir, max per-unit outflow
+    rate).
     """
     cp = table.incidence.T @ c_road
-    pair_h, pair_a = np.zeros_like(ph), np.zeros_like(pa)
-    coll_h, coll_a = np.zeros_like(ph), np.zeros_like(pa)
-    pair_rate = 0.0
-    coll_rate = 0.0
+    dh, da = np.zeros_like(ph), np.zeros_like(pa)
+    max_rate = 0.0
     for blk in table.blocks:
         costs = cp[blk]
         diff = np.maximum(costs[:, None] - costs[None, :], 0.0)
-        rate = diff.sum(axis=1)
-        pair_rate = max(pair_rate, float(rate.max(initial=0.0)))
         jmin = int(np.argmin(costs))
-        excess = costs - costs[jmin]
-        coll_rate = max(coll_rate, float(excess.max(initial=0.0)))
-        for p, dp, dc in ((ph, pair_h, coll_h), (pa, pair_a, coll_a)):
-            dp[blk] += diff.T @ p[blk] - p[blk] * rate
-            out = p[blk] * excess
-            dc[blk] -= out
-            dc[blk.start + jmin] += float(out.sum())
-    return (coll_h, coll_a, coll_rate), (pair_h, pair_a, pair_rate)
+        diff[:, jmin] += costs - costs[jmin]
+        rate = diff.sum(axis=1)
+        max_rate = max(max_rate, float(rate.max(initial=0.0)))
+        for p, d in ((ph, dh), (pa, da)):
+            d[blk] += diff.T @ p[blk] - p[blk] * rate
+    return dh, da, max_rate
 
 
 def _support_polish(table: PathTable, params, ph: np.ndarray, pa: np.ndarray,
                     rounds: int = 12, drop_tol: float = 1e-3):
     """Equalize support-path costs by damped least-squares Newton steps.
 
-    Both swap fields move the two classes in lockstep, so they cannot express
+    The swap field moves the two classes in lockstep, so it cannot express
     pure class-composition exchanges; near equilibria that require one the
     dynamics stall. This polish drops epsilon-used paths onto the cheapest
     path, then solves the linearized equal-cost/demand system on the support
@@ -267,9 +261,6 @@ def solve_equilibrium(
     denom = 1.0
     averaging_steps = 0
     swap_step = 0.1
-    preferred = 0
-    swap_epoch_gap = None
-    swap_epoch_count = 0
     last_polish = -10**9
     its = 0
     for it in range(cfg.max_iterations + 1):
@@ -286,40 +277,23 @@ def solve_equilibrium(
             break
 
         if gap_rel <= 1e-2:
-            # equalization regime: follow the currently preferred swap variant
-            # while it keeps lowering the gap; on rejection try the other one,
-            # and switch variants when an epoch makes too little progress
-            if swap_epoch_gap is None:
-                swap_epoch_gap = gap_rel
-                swap_epoch_count = 0
-            swap_epoch_count += 1
-            if swap_epoch_count >= 60:
-                if gap_rel > 0.5 * swap_epoch_gap:
-                    preferred = 1 - preferred
-                swap_epoch_gap = gap_rel
-                swap_epoch_count = 0
-            directions = _swap_directions(table, c_road, ph, pa)
+            # equalization regime: a swap step, accepted only if the gap drops
+            dh, da, max_rate = _swap_direction(table, c_road, ph, pa)
+            step = min(swap_step, 0.9 / max(max_rate, 1e-12))
             accepted = False
-            for which in (preferred, 1 - preferred):
-                dh, da, max_rate = directions[which]
-                step = min(swap_step, 0.9 / max(max_rate, 1e-12))
-                for _ in range(8):
-                    cand_h = ph + step * dh
-                    cand_a = pa + step * da
-                    cand_gap = _gap_at(table, params, cand_h, cand_a)[0]
-                    if cand_gap < gap_rel:
-                        ph, pa = cand_h, cand_a
-                        swap_step = step * 1.3
-                        preferred = which
-                        accepted = True
-                        break
-                    step *= 0.5
-                if accepted:
+            for _ in range(8):
+                cand_h = ph + step * dh
+                cand_a = pa + step * da
+                if _gap_at(table, params, cand_h, cand_a)[0] < gap_rel:
+                    ph, pa = cand_h, cand_a
+                    swap_step = step * 1.3
+                    accepted = True
                     break
+                step *= 0.5
             if accepted:
                 continue
             if it - last_polish >= 20:
-                # both swap fields stalled: likely a point needing a pure
+                # the swap field stalled: likely a point needing a pure
                 # class-composition exchange, which only the polish can make
                 last_polish = it
                 cand_h, cand_a = _support_polish(table, params, ph, pa)

@@ -547,9 +547,9 @@ class PathTable:
 
 
 @functools.lru_cache(maxsize=128)
-def path_table(net: Network, max_hops: int | None = None) -> PathTable:
+def path_table(net: Network) -> PathTable:
     """Build (and memoize) the path enumeration for a network."""
-    all_paths = tuple(enumerate_paths(net, od, max_hops) for od in net.od_pairs)
+    all_paths = tuple(enumerate_paths(net, od) for od in net.od_pairs)
     total = sum(len(p) for p in all_paths)
     incidence = np.zeros((net.n_roads, total))
     blocks = []

@@ -47,6 +47,8 @@ class OptimumConfig:
             raise errors.InvalidParameterError("grid_resolution must be in (0, 1]")
         if self.max_iterations < 1:
             raise errors.InvalidParameterError("max_iterations must be >= 1")
+        if not 0 < self.step_tolerance < np.inf:
+            raise errors.InvalidParameterError("step_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,13 @@ class TestMainCli:
         assert main(["eq", "--scenario", str(path), "--seed", "42",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_gap_tolerance_fails_fast(self, tmp_path, capsys, tol):
+        path = tmp_path / "s.json"
+        path.write_text(scenario_text())
+        assert main(["eq", "--scenario", str(path), "--gap-tol", tol]) == 1
+        assert "gap_tolerance" in capsys.readouterr().err
+
     def test_sweep_verb_without_sweep_section(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(scenario_text())  # bounds scenario, no sweep block

@@ -5,6 +5,8 @@ import pytest
 
 import mar
 from mar import errors
+from mar.costs import _latencies, _net_arrays
+from mar.equilibrium import _swap_direction
 
 from factories import (
     designated_min_gap_grid,
@@ -136,6 +138,74 @@ class TestSolveEquilibrium:
         auto_path_costs = table.incidence.T @ cv[1::2]
         for blk in table.blocks:
             assert min(human_path_costs[blk]) == min(auto_path_costs[blk])
+
+
+class TestEquilibriumConfig:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_gap_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(errors.InvalidParameterError, match="gap_tolerance"):
+            mar.EquilibriumConfig(gap_tolerance=tol)
+
+
+def swap_at(net, pf):
+    table = mar.path_table(net)
+    ph, pa = table.arrays(pf)
+    x, y = table.link_flows(ph, pa)
+    return table, ph, pa, _swap_direction(table, _latencies(_net_arrays(net), x, y), ph, pa)
+
+
+class TestSwapDirection:
+    def test_conserves_each_block_and_class(self, rng):
+        for _ in range(50):
+            net = random_network(rng)
+            table, _, _, (dh, da, _) = swap_at(net, random_assignment(net, rng))
+            for blk in table.blocks:
+                for d in (dh, da):
+                    assert abs(d[blk].sum()) <= 1e-12 * (1.0 + np.abs(d[blk]).sum())
+
+    def test_zero_at_wardrop_point(self):
+        # the segregated split of the opposed-asymmetry pair and the uniform
+        # split of two identical roads have exactly equal road costs; on the
+        # constant-cost pair the costlier road is unused
+        opposed = parallel_net(
+            [dict(headway=2.0, platoon_headway=1.0, rho=1.0, sigma=1.0),
+             dict(headway=1.0, platoon_headway=2.0, rho=1.0, sigma=1.0)])
+        segregated = mar.PathFlowAssignment(
+            human=({(1,): 1.0, (2,): 0.0},), auto=({(1,): 0.0, (2,): 1.0},))
+        uniform = mar.PathFlowAssignment(
+            human=({(1,): 0.5, (2,): 0.5},), auto=({(1,): 0.5, (2,): 0.5},))
+        cheap_only = mar.PathFlowAssignment(
+            human=({(1,): 0.0, (2,): 2.0},), auto=({(1,): 0.0, (2,): 1.0},))
+        for net, pf in ((opposed, segregated), (symmetric_pair(), uniform),
+                        (constant_cost_pair(), cheap_only)):
+            assert mar.wardrop_gap(net, pf) == (0.0, 0.0)
+            _, _, _, (dh, da, _) = swap_at(net, pf)
+            assert not dh.any() and not da.any()
+
+    def test_capped_step_keeps_flows_nonnegative(self, rng):
+        moved = 0
+        for _ in range(200):
+            net = random_network(rng)
+            _, ph, pa, (dh, da, max_rate) = swap_at(net, random_assignment(net, rng))
+            if max_rate == 0.0:
+                continue
+            moved += 1
+            step = 0.9 / max_rate
+            assert (ph + step * dh).min() >= 0.0
+            assert (pa + step * da).min() >= 0.0
+        assert moved > 0
+
+    def test_fuzz_instances_converge_quickly(self):
+        # the acceptance fuzz stream: the swap phase must not stall for
+        # thousands of iterations on any of its first 200 instances
+        gen = np.random.default_rng(987654321)
+        cfg = mar.EquilibriumConfig(max_iterations=30_000)
+        iterations = []
+        for _ in range(200):
+            res = mar.solve_equilibrium(random_network(gen), cfg)
+            assert res.converged
+            iterations.append(res.iterations)
+        assert max(iterations) <= 2_000, max(iterations)
 
 
 class TestViResidual:

@@ -72,6 +72,11 @@ class TestSolveOptimum:
         opt = mar.solve_optimum(net, mar.OptimumConfig(restarts=8))
         assert opt.social_cost <= eq.social_cost * (1 + 1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_step_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(errors.InvalidParameterError, match="step_tolerance"):
+            mar.OptimumConfig(step_tolerance=tol)
+
 
 class TestBatchedDescent:
     def test_projection_matches_per_block_reference(self, rng):

@@ -1,7 +1,9 @@
 """Command-line interface: scenario ingestion and experiment orchestration.
 
 Verbs mirror the experiments: ``eq``, ``opt``, ``bounds``, ``poa``,
-``bicriteria``, ``sweep``, ``demo <name>``, ``validate``. Reports are written
+``bicriteria``, ``sweep``, ``demo <name>``, ``validate``; ``run`` runs the
+experiment a scenario file names, including those no other verb reaches
+(``tightness_probe``, ``monotonicity_demo``). Reports are written
 as JSON or CSV (``--format``); ``poa``, ``sweep`` and the tightness probe emit
 fixed-column CSV rows suitable for plotting:
 
@@ -339,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Routing games for mixed human-driven and autonomous traffic",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("eq", "opt", "bounds", "poa", "bicriteria", "sweep", "validate"):
+    for verb in ("eq", "opt", "bounds", "poa", "bicriteria", "sweep", "run", "validate"):
         sp = sub.add_parser(verb)
         _add_common_flags(sp)
     demo = sub.add_parser("demo", help=f"run a built-in demo: {', '.join(DEMO_NAMES)}")
@@ -375,7 +377,7 @@ def main(argv=None) -> int:
         if args.verb == "validate":
             sys.stdout.write("scenario ok\n")
             return 0
-        if args.verb != "demo":
+        if args.verb not in ("demo", "run"):
             scenario = dataclasses.replace(scenario, experiment=experiment_named(args.verb))
         scenario = _apply_overrides(scenario, args)
         return run(scenario, out=args.out, fmt=args.format)

@@ -240,7 +240,8 @@ def solve_equilibrium(
     multiplicity), the string ``"random"`` (Dirichlet start seeded by
     ``cfg.seed``), or None for the uniform split. When the gap tolerance is
     not reached the best iterate found is returned with ``converged=False``
-    rather than raising. Deterministic for a given config and start.
+    rather than raising; ``iterations`` counts the iterations run either way.
+    Deterministic for a given config and start.
     """
     cfg = cfg or EquilibriumConfig()
     table = path_table(net)
@@ -256,7 +257,7 @@ def solve_equilibrium(
         ph, pa = table.arrays(start)
 
     best_gap = np.inf
-    best = (ph.copy(), pa.copy(), 0)
+    best = (ph.copy(), pa.copy())
     prev_gap = np.inf
     denom = 1.0
     averaging_steps = 0
@@ -270,7 +271,7 @@ def solve_equilibrium(
             on_iterate(it, table.assignment(ph, pa), gap_rel)
         if gap_rel < best_gap:
             best_gap = gap_rel
-            best = (ph.copy(), pa.copy(), it)
+            best = (ph.copy(), pa.copy())
         if gap_rel <= cfg.gap_tolerance:
             return _result(table, ph, pa, gap_rel, it, True)
         if it == cfg.max_iterations:
@@ -321,7 +322,7 @@ def solve_equilibrium(
         if it % 5000 == 0 and it > 0:
             log.debug("iteration %d: relative gap %.3e", it, gap_rel)
 
-    ph, pa, best_it = best
+    ph, pa = best
     polished_h, polished_a = _support_polish(table, params, ph, pa)
     polished_gap = _gap_at(table, params, polished_h, polished_a)[0]
     if polished_gap < best_gap:
@@ -329,7 +330,7 @@ def solve_equilibrium(
         if best_gap <= cfg.gap_tolerance:
             return _result(table, ph, pa, best_gap, its, True)
     log.info("not converged after %d iterations, best gap %.3e", its, best_gap)
-    return _result(table, ph, pa, best_gap, best_it, False)
+    return _result(table, ph, pa, best_gap, its, False)
 
 
 def _result(table, ph, pa, gap_rel, iterations, converged) -> SolveResult:

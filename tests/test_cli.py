@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import mar
 from mar import errors
 from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
-from mar.scenario import Scenario, parse_scenario
+from mar.scenario import _DEMOS, Scenario, parse_scenario
 
 from factories import symmetric_pair
 
@@ -345,6 +345,24 @@ class TestMainCli:
         out = tmp_path / "eq.json"
         assert main(["eq", "--scenario", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["experiment"] == "equilibrium"
+
+    @pytest.mark.parametrize("experiment, section, marker", [
+        ("tightness_probe", {"tightness": {"ks": [1.0, 2.0], "sigma": 1.0,
+                                           "rhos": [10.0], "demand": 1.0}}, ",probe:"),
+        ("monotonicity_demo", {"network": _DEMOS["monotonicity"]["network"]},
+         '"experiment": "monotonicity_demo"'),
+    ])
+    def test_run_verb_runs_the_file_experiment(self, tmp_path, capsys, experiment,
+                                               section, marker):
+        # no other file verb reaches these two experiments
+        text = json.dumps({"schema_version": "1", "experiment": experiment, **section})
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert main(["run", "--scenario", str(path)]) == 0
+        via_cli = capsys.readouterr().out
+        assert run(parse_scenario(text)) == 0
+        assert via_cli == capsys.readouterr().out
+        assert marker in via_cli
 
     def test_byte_identical_reports(self, tmp_path):
         path = tmp_path / "s.json"

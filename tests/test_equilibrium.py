@@ -115,6 +115,16 @@ class TestSolveEquilibrium:
         assert res.relative_gap > cfg.gap_tolerance
         mar.validate_assignment(nets[1], res.flows)
 
+    def test_unconverged_reports_iterations_run(self):
+        # the best iterate of this instance is iterate 3; the report must
+        # still count all 5 iterations run
+        gen = np.random.default_rng(5)
+        nets = [random_network(gen, sigma_pool=(4.0,), k_max=4.0) for _ in range(4)]
+        cfg = mar.EquilibriumConfig(max_iterations=5, gap_tolerance=1e-10)
+        res = mar.solve_equilibrium(nets[3], cfg)
+        assert not res.converged
+        assert res.iterations == 5
+
     def test_iterates_stay_feasible(self):
         net = designated_two_road()
         seen = []

@@ -19,7 +19,6 @@ inequality verifiers suitable for property-test harnesses.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -40,8 +39,8 @@ def xi(sigma: float) -> float:
 
     Strictly below 1 for every sigma >= 1 (and increasing in sigma).
     """
-    if sigma < 1:
-        raise errors.InvalidSigmaError(f"sigma must be >= 1, got {sigma}")
+    if not 1 <= sigma < math.inf:
+        raise errors.InvalidSigmaError(f"sigma must be finite and >= 1, got {sigma}")
     return sigma * (sigma + 1.0) ** (-(sigma + 1.0) / sigma)
 
 
@@ -196,6 +195,8 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
 def _check_reference(road: Road, v: float, w: float) -> None:
     if not road.is_bpr:
         raise errors.UnsupportedCostKindError("beta requires a BPR road")
+    if not (math.isfinite(v) and math.isfinite(w)):
+        raise errors.InvalidParameterError(f"reference flows must be finite, got ({v}, {w})")
     if v < 0 or w < 0:
         raise errors.NegativeFlowError("reference flows must be >= 0")
     if v + w == 0:
@@ -416,22 +417,17 @@ def _opposed_asymmetry_net(k: float, sigma: float, rho: float, demand: float) ->
 
 def _segregated_starts(table):
     """All-or-nothing class-to-path combinations, used to probe bad equilibria."""
-    starts = []
-    total = table.total_paths
-    if any(blk.stop - blk.start > 4 for blk in table.blocks):
-        return starts
-    index_choices = [range(blk.start, blk.stop) for blk in table.blocks]
-    human_choices = list(itertools.product(*index_choices))
-    for hsel in human_choices:
-        for asel in human_choices:
-            ph = np.zeros(total)
-            pa = np.zeros(total)
-            for i, j in enumerate(hsel):
-                ph[j] = table.demand_human[i]
-            for i, j in enumerate(asel):
-                pa[j] = table.demand_auto[i]
-            starts.append((ph, pa))
-    return starts
+    n_od = len(table.blocks)
+    counts = table.valid[:n_od].sum(axis=1)
+    if counts.max() > 4:
+        return []
+    # one path per OD pair, every combination in lexicographic order
+    picks = table.columns[np.arange(n_od), np.indices(counts).reshape(n_od, -1).T]
+    rows = np.arange(len(picks))[:, None]
+    human, auto = np.zeros((2, len(picks), table.total_paths))
+    human[rows, picks] = table.demand_human
+    auto[rows, picks] = table.demand_auto
+    return [(ph, pa) for ph in human for pa in auto]
 
 
 def tightness_probe(

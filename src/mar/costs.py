@@ -20,12 +20,13 @@ both vehicle classes see identical delays; its Jacobian is block diagonal in
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
-from .network import CapacityModel, FlowVector, Network, Road
+from .network import CapacityModel, Network, Road, _flow_array
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,15 @@ def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
 
 
 def _check_flow_pair(x: float, y: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise errors.InvalidParameterError(f"flows must be finite, got ({x}, {y})")
     if x < 0 or y < 0:
         raise errors.NegativeFlowError(f"flows must be >= 0, got ({x}, {y})")
 
 
 def _interleaved(net: Network, z) -> np.ndarray:
     """Coerce a FlowVector or interleaved sequence into a checked, clipped array."""
-    if isinstance(z, FlowVector):
-        arr = z.interleaved
-    else:
-        arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or arr.size != 2 * net.n_roads:
-        raise errors.DimensionMismatchError(
-            f"expected {2 * net.n_roads} flow entries, got {arr.size}"
-        )
+    arr = _flow_array(net, z)
     if arr.min() < -1e-9:
         raise errors.NegativeFlowError(f"negative flow entry: {arr.min()}")
     return np.clip(arr, 0.0, None)

@@ -89,21 +89,23 @@ class SolveResult:
 def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
     """The Wardrop gap certificate at one point.
 
-    Returns (relative gap, absolute gap, road latencies, all-or-nothing path
-    index per OD). Both vehicle classes see the same road latencies, so the
-    per-class shortest paths coincide.
+    Returns (relative gap, absolute gap, road latencies, array of the
+    all-or-nothing path index per OD). Both vehicle classes see the same road
+    latencies, so the per-class shortest paths coincide.
     """
     x, y = table.link_flows(ph, pa)
     c_road = _latencies(params, x, y)
     cp = table.incidence.T @ c_road
     total_cost = float(np.dot(ph, cp) + np.dot(pa, cp))
-    shortest_cost = 0.0
-    aon = []
-    for i, blk in enumerate(table.blocks):
-        j = int(np.argmin(cp[blk]))  # ties break to the lowest path index
-        cmin = float(cp[blk][j])
-        shortest_cost += (table.demand_human[i] + table.demand_auto[i]) * cmin
-        aon.append(blk.start + j)
+    # each OD pair's cheapest path over the layout's human rows, ties to the
+    # lowest index (padding repeats a block's first path, which argmin never
+    # prefers); costs summed in OD order, as a Python sum, for any OD count
+    n_od = len(table.blocks)
+    padded = cp[table.columns[:n_od]]
+    j = padded.argmin(axis=1)
+    demand = table.demand_human + table.demand_auto
+    shortest_cost = sum((demand * padded[np.arange(n_od), j]).tolist())
+    aon = table.columns[:n_od, 0] + j
     gap_abs = max(total_cost - shortest_cost, 0.0)
     if total_cost <= 0.0:
         # a Network always carries positive demand
@@ -310,13 +312,10 @@ def solve_equilibrium(
             if averaging_steps > 0:
                 denom += 2.0 if gap_rel > prev_gap * (1.0 - 1e-9) else 0.05
             phi = 1.0 / denom
-        target_h = np.zeros_like(ph)
-        target_a = np.zeros_like(pa)
-        for i, j in enumerate(aon):
-            target_h[j] = table.demand_human[i]
-            target_a[j] = table.demand_auto[i]
-        ph += phi * (target_h - ph)
-        pa += phi * (target_a - pa)
+        target = np.zeros((2, len(ph)))
+        target[:, aon] = table.demand_human, table.demand_auto
+        ph += phi * (target[0] - ph)
+        pa += phi * (target[1] - pa)
         prev_gap = gap_rel
         averaging_steps += 1
         if it % 5000 == 0 and it > 0:

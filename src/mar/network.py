@@ -8,6 +8,12 @@ human-driven and autonomous flow demands. Routings are represented two ways:
 * path flows: per OD pair and vehicle class, flow on each enumerated simple
   path.
 
+The path problem has a topology part and a demand part. The topology (the
+enumerated paths, the incidence matrix and the block layout of a path-flow
+row) depends only on road ids and endpoints and on OD endpoints, so it is
+built once and shared by networks that differ only in demands or road
+parameters, as sweep steps do. ``path_table`` adds a network's demands.
+
 All types are immutable after construction and validate their invariants on
 construction. Feasibility of a raw link-flow vector is decided by decomposing
 it into per-OD path flows.
@@ -28,6 +34,10 @@ from . import errors
 
 #: A directed path, written as the sequence of road ids it traverses.
 Path = tuple[int, ...]
+
+#: Most simple paths, summed over OD pairs, that enumeration lists before it
+#: stops with ``TooLargeError``; a 5x5 grid's two corner-to-corner pairs have 17,024.
+MAX_PATHS = 100_000
 
 
 def _check_finite(owner: str, **values: float) -> None:
@@ -189,11 +199,8 @@ class Network:
                 )
 
     @cached_property
-    def _adjacency(self) -> dict[str, tuple[Road, ...]]:
-        adj: dict[str, list[Road]] = {}
-        for road in self.roads:
-            adj.setdefault(road.tail, []).append(road)
-        return {n: tuple(sorted(rs, key=lambda r: r.rid)) for n, rs in adj.items()}
+    def _adjacency(self) -> dict[str, list[tuple[int, str]]]:
+        return _adjacency_of((r.rid, r.tail, r.head) for r in self.roads)
 
     @cached_property
     def _road_index(self) -> dict[int, int]:
@@ -218,20 +225,28 @@ def _reachable(net: Network, origin: str, destination: str) -> bool:
     stack = [origin]
     while stack:
         node = stack.pop()
-        for road in net._adjacency.get(node, ()):
-            if road.head == destination:
+        for _, head in net._adjacency.get(node, ()):
+            if head == destination:
                 return True
-            if road.head not in seen:
-                seen.add(road.head)
-                stack.append(road.head)
+            if head not in seen:
+                seen.add(head)
+                stack.append(head)
     return False
+
+
+def _adjacency_of(ends) -> dict[str, list[tuple[int, str]]]:
+    """Per node, the (rid, head) of its outgoing roads in road-id order."""
+    adj: dict[str, list[tuple[int, str]]] = {}
+    for rid, tail, head in sorted(ends):
+        adj.setdefault(tail, []).append((rid, head))
+    return adj
 
 
 class FlowVector:
     """Per-road (human, autonomous) flow pairs, interleaved as ``[x1, y1, ...]``.
 
-    Entries are nonnegative; tiny negative values (>= -1e-9) from floating
-    arithmetic are clipped to zero.
+    Entries are finite and nonnegative; tiny negative values (>= -1e-9) from
+    floating arithmetic are clipped to zero.
     """
 
     __slots__ = ("_z",)
@@ -243,6 +258,8 @@ class FlowVector:
             raise errors.DimensionMismatchError(
                 f"flow vector must have even positive length, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise errors.InvalidParameterError("flow entries must be finite")
         if arr.min(initial=0.0) < -1e-9:
             raise errors.NegativeFlowError(f"negative flow entry: {arr.min()}")
         np.clip(arr, 0.0, None, out=arr)
@@ -310,31 +327,42 @@ def enumerate_paths(net: Network, od: ODPair, max_hops: int | None = None) -> tu
 
     Paths are ordered lexicographically by their road-id sequence, which makes
     the enumeration deterministic. ``max_hops`` defaults to the node count,
-    which covers every simple path.
+    which covers every simple path. Raises ``TooLargeError`` as soon as there
+    are more than ``MAX_PATHS`` paths.
     """
     if max_hops is None:
         max_hops = len(net.nodes)
     if max_hops < 1:
         raise errors.InvalidParameterError("max_hops must be >= 1")
+    return _simple_paths(net._adjacency, od.origin, od.destination, max_hops, MAX_PATHS)
+
+
+def _simple_paths(adjacency, origin: str, destination: str, max_hops: int,
+                  budget: int) -> tuple[Path, ...]:
+    """Depth-first enumeration behind ``enumerate_paths``; stops with
+    ``TooLargeError`` once it finds more than ``budget`` paths."""
     out: list[Path] = []
-    visited = {od.origin}
+    visited = {origin}
     acc: list[int] = []
 
     def walk(node: str) -> None:
-        for road in net._adjacency.get(node, ()):
-            if road.head == od.destination:
-                out.append(tuple(acc) + (road.rid,))
-            elif road.head not in visited and len(acc) + 1 < max_hops:
-                visited.add(road.head)
-                acc.append(road.rid)
-                walk(road.head)
+        for rid, head in adjacency.get(node, ()):
+            if head == destination:
+                out.append(tuple(acc) + (rid,))
+                if len(out) > budget:
+                    raise errors.TooLargeError(f"OD pair {origin}->{destination} takes the "
+                                               f"path count past the cap of {MAX_PATHS}")
+            elif head not in visited and len(acc) + 1 < max_hops:
+                visited.add(head)
+                acc.append(rid)
+                walk(head)
                 acc.pop()
-                visited.remove(road.head)
+                visited.remove(head)
 
-    walk(od.origin)
+    walk(origin)
     if not out:
         raise errors.NoPathFoundError(
-            f"no path {od.origin}->{od.destination} within {max_hops} hops"
+            f"no path {origin}->{destination} within {max_hops} hops"
         )
     return tuple(out)
 
@@ -414,21 +442,28 @@ class FeasibilityReport:
         return self.feasible
 
 
+def _flow_array(net: Network, z) -> np.ndarray:
+    """A FlowVector or interleaved sequence as a float array, checked to hold
+    ``2 * n_roads`` finite entries (their signs are the caller's to check)."""
+    arr = z.interleaved if isinstance(z, FlowVector) else np.asarray(z, dtype=float)
+    if arr.ndim != 1 or arr.size != 2 * net.n_roads:
+        raise errors.DimensionMismatchError(
+            f"expected {2 * net.n_roads} flow entries, got {arr.size}"
+        )
+    if not np.isfinite(arr).all():
+        raise errors.InvalidParameterError("flow entries must be finite")
+    return arr
+
+
 def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
     """Decide whether link flows ``z`` are realizable by some valid assignment.
 
     Runs a per-node, per-class flow-conservation check against the OD demands
     and then a per-OD path-flow decomposition (a small feasibility LP over the
-    enumerated paths). ``z`` may be a FlowVector or any interleaved sequence.
+    enumerated paths). ``z`` may be a FlowVector or any interleaved sequence;
+    a negative entry gives an infeasible report, a non-finite one raises.
     """
-    if isinstance(z, FlowVector):
-        arr = np.array(z.interleaved)
-    else:
-        arr = np.asarray(z, dtype=float)
-    if arr.ndim != 1 or arr.size != 2 * net.n_roads:
-        raise errors.DimensionMismatchError(
-            f"expected {2 * net.n_roads} entries, got {arr.size}"
-        )
+    arr = _flow_array(net, z)
     if arr.min() < -1e-9:
         return FeasibilityReport(False, float("inf"), "negative flow entry")
     arr = np.clip(arr, 0.0, None)
@@ -436,10 +471,10 @@ def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
 
     table = path_table(net)
     worst = 0.0
-    for cls, flows in (("human", arr[0::2]), ("auto", arr[1::2])):
+    for cls, flows, demands in (("human", arr[0::2], table.demand_human),
+                                ("auto", arr[1::2], table.demand_auto)):
         expected = {n: 0.0 for n in net.nodes}
-        for od in net.od_pairs:
-            d = od.demand_human if cls == "human" else od.demand_auto
+        for od, d in zip(net.od_pairs, demands):
             expected[od.origin] += d
             expected[od.destination] -= d
         balance = {n: 0.0 for n in net.nodes}
@@ -451,10 +486,6 @@ def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
         if residual > tol * scale:
             return FeasibilityReport(False, worst,
                                      f"{cls} conservation residual {residual:.3g}")
-        demands = np.array([
-            od.demand_human if cls == "human" else od.demand_auto
-            for od in net.od_pairs
-        ])
         if not _decomposes(table, flows, demands):
             return FeasibilityReport(False, worst,
                                      f"no per-OD path decomposition for {cls} flows")
@@ -468,9 +499,9 @@ def _decomposes(table: "PathTable", link_flows: np.ndarray, demands: np.ndarray)
     from scipy.optimize import linprog
 
     n_paths = table.total_paths
-    block_rows = np.zeros((len(table.blocks), n_paths))
-    for i, blk in enumerate(table.blocks):
-        block_rows[i, blk] = 1.0
+    n_od = len(table.blocks)
+    owner = np.nonzero(table.valid[:n_od])[0]  # the OD pair of each path column
+    block_rows = (owner == np.arange(n_od)[:, None]).astype(float)
     a_eq = np.vstack([table.incidence, block_rows])
     b_eq = np.concatenate([link_flows, demands])
     res = linprog(
@@ -482,19 +513,27 @@ def _decomposes(table: "PathTable", link_flows: np.ndarray, demands: np.ndarray)
 
 @dataclass(frozen=True)
 class PathTable:
-    """Enumerated paths per OD pair plus the road/path incidence matrix.
+    """A topology's enumerated paths, incidence matrix and block layout, with
+    one network's demands.
 
     The incidence matrix has one row per road and one column per path;
     ``blocks[i]`` is the column range of OD pair ``i``. Both vehicle classes
-    share the same path set.
+    share the same path set. A stacked path-flow row ``[human | auto]`` has
+    one simplex block per OD pair and class, human blocks first, padded to a
+    common width: ``columns[b, j]`` is the row column of path j of block b
+    where ``valid[b, j]`` (elsewhere the block's first column), and
+    ``totals[b]`` is the block's demand.
     """
 
     net: Network
     paths: tuple[tuple[Path, ...], ...]
     incidence: np.ndarray
     blocks: tuple[slice, ...]
+    columns: np.ndarray
+    valid: np.ndarray
     demand_human: np.ndarray
     demand_auto: np.ndarray
+    totals: np.ndarray
 
     @property
     def total_paths(self) -> int:
@@ -505,15 +544,12 @@ class PathTable:
 
     def uniform_start(self) -> tuple[np.ndarray, np.ndarray]:
         """Each class's demand split evenly over its OD's paths."""
-        ph = np.zeros(self.total_paths)
-        pa = np.zeros(self.total_paths)
-        for i, blk in enumerate(self.blocks):
-            m = blk.stop - blk.start
-            ph[blk] = self.demand_human[i] / m
-            pa[blk] = self.demand_auto[i] / m
-        return ph, pa
+        counts = self.valid.sum(axis=1)
+        z = np.repeat(self.totals / counts, counts)
+        return z[:self.total_paths], z[self.total_paths:]
 
     def random_start(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        # one block at a time, in this order, so a seed keeps its draws
         ph = np.zeros(self.total_paths)
         pa = np.zeros(self.total_paths)
         for i, blk in enumerate(self.blocks):
@@ -523,51 +559,66 @@ class PathTable:
         return ph, pa
 
     def assignment(self, ph: np.ndarray, pa: np.ndarray) -> PathFlowAssignment:
-        human = []
-        auto = []
-        for i, blk in enumerate(self.blocks):
-            od_paths = self.paths[i]
-            human.append({p: float(ph[blk.start + j]) for j, p in enumerate(od_paths)})
-            auto.append({p: float(pa[blk.start + j]) for j, p in enumerate(od_paths)})
-        return PathFlowAssignment(human=tuple(human), auto=tuple(auto))
+        def per_od(p):
+            return tuple(dict(zip(od_paths, p[blk].tolist()))
+                         for od_paths, blk in zip(self.paths, self.blocks))
+        return PathFlowAssignment(human=per_od(ph), auto=per_od(pa))
 
     def arrays(self, pf: PathFlowAssignment) -> tuple[np.ndarray, np.ndarray]:
-        ph = np.zeros(self.total_paths)
-        pa = np.zeros(self.total_paths)
+        ph, pa = np.zeros((2, self.total_paths))
         for i, blk in enumerate(self.blocks):
-            index = {p: j for j, p in enumerate(self.paths[i])}
+            index = {p: blk.start + j for j, p in enumerate(self.paths[i])}
             for source, dest in ((pf.human[i], ph), (pf.auto[i], pa)):
                 for path, flow in source.items():
                     if path not in index:
                         raise errors.InvalidParameterError(
                             f"path {path} is not in the enumeration for OD {i}"
                         )
-                    dest[blk.start + index[path]] = max(flow, 0.0)
+                    dest[index[path]] = max(flow, 0.0)
         return ph, pa
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @functools.lru_cache(maxsize=128)
+def _topology(ends, ods):
+    """Paths, incidence, blocks and block layout of one topology, given what
+    enumeration reads: the ordered (rid, tail, head) of every road and the OD
+    endpoints."""
+    adjacency = _adjacency_of(ends)
+    all_paths = []
+    for origin, destination in ods:
+        # a simple path uses each road at most once, so len(ends) hops cover all
+        budget = MAX_PATHS - sum(map(len, all_paths))
+        all_paths.append(_simple_paths(adjacency, origin, destination, len(ends), budget))
+    counts = np.array([len(od_paths) for od_paths in all_paths])
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    position = {rid: i for i, (rid, _, _) in enumerate(ends)}
+    incidence = np.zeros((len(ends), total))
+    for col, path in enumerate(p for od_paths in all_paths for p in od_paths):
+        incidence[[position[rid] for rid in path], col] = 1.0
+    blocks = tuple(slice(int(start), int(start + m)) for start, m in zip(starts, counts))
+    # a stacked row [human | auto] holds each OD pair's block twice
+    counts, starts = np.tile(counts, 2), np.concatenate([starts, starts + total])
+    offsets = np.arange(counts.max())
+    valid = offsets < counts[:, None]
+    columns = np.where(valid, starts[:, None] + offsets, starts[:, None])
+    return tuple(all_paths), _read_only(incidence), blocks, _read_only(columns), _read_only(valid)
+
+
 def path_table(net: Network) -> PathTable:
-    """Build (and memoize) the path enumeration for a network."""
-    all_paths = tuple(enumerate_paths(net, od) for od in net.od_pairs)
-    total = sum(len(p) for p in all_paths)
-    incidence = np.zeros((net.n_roads, total))
-    blocks = []
-    col = 0
-    for od_paths in all_paths:
-        start = col
-        for path in od_paths:
-            for rid in path:
-                incidence[net.road_position(rid), col] = 1.0
-            col += 1
-        blocks.append(slice(start, col))
-    incidence.setflags(write=False)
-    dh = np.array([od.demand_human for od in net.od_pairs])
-    da = np.array([od.demand_auto for od in net.od_pairs])
-    dh.setflags(write=False)
-    da.setflags(write=False)
-    return PathTable(net=net, paths=all_paths, incidence=incidence,
-                     blocks=tuple(blocks), demand_human=dh, demand_auto=da)
+    """The network's path problem: its topology's enumeration, built once per
+    topology, with the network's demands."""
+    topology = _topology(tuple((r.rid, r.tail, r.head) for r in net.roads),
+                         tuple((od.origin, od.destination) for od in net.od_pairs))
+    dh = _read_only(np.array([od.demand_human for od in net.od_pairs]))
+    da = _read_only(np.array([od.demand_auto for od in net.od_pairs]))
+    return PathTable(net, *topology, demand_human=dh, demand_auto=da,
+                     totals=_read_only(np.concatenate([dh, da])))
 
 
 def build_network(data: Mapping) -> Network:

@@ -6,9 +6,9 @@ product of per-OD-class path-flow simplices, cross-checked on small instances
 by an exhaustive grid oracle. The descent is spectral: each trial step is the
 Barzilai-Borwein step from the last move, safeguarded by doubling the last
 accepted step where the cost curves down along the move, and every step still
-passes a monotone Armijo test. The reported optimum is the best point found;
-every ratio computed from it is therefore an upper bound for the found
-equilibrium cost against the true optimum cost.
+passes a monotone Armijo test. The reported optimum is the best point found,
+so its cost can only overestimate the true optimum cost, and a ratio of the
+equilibrium cost to it is a lower estimate of the true ratio.
 """
 
 from __future__ import annotations
@@ -54,47 +54,21 @@ class OptimumConfig:
             raise errors.InvalidParameterError("step_tolerance must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """The OD-class simplices of a stacked ``[human | auto]`` path-flow row,
-    padded to a common width: ``columns[b, j]`` is the row column of path j
-    of block b (human blocks, then auto blocks, OD by OD) where ``valid[b, j]``,
-    and ``totals[b]`` is the block's demand."""
-
-    columns: np.ndarray
-    valid: np.ndarray
-    totals: np.ndarray
-
-
-def _blocks(table: PathTable) -> _Blocks:
-    n = table.total_paths
-    spans = [(blk.start, blk.stop) for blk in table.blocks]
-    spans += [(n + start, n + stop) for start, stop in spans]
-    width = max(stop - start for start, stop in spans)
-    offsets = np.arange(width)
-    starts = np.array([start for start, _ in spans])
-    valid = offsets < np.array([stop - start for start, stop in spans])[:, None]
-    columns = np.where(valid, starts[:, None] + offsets, starts[:, None])
-    totals = np.concatenate([table.demand_human, table.demand_auto])
-    return _Blocks(columns, valid, totals)
-
-
-def _project(v: np.ndarray, blocks: _Blocks) -> np.ndarray:
+def _project(v: np.ndarray, table: PathTable) -> np.ndarray:
     """Euclidean projection of every row of ``v`` onto the product of the
-    simplices ``{p >= 0, sum(p) = total}``, by one padded sort over all rows
-    and blocks (Duchi et al., ICML 2008). Zero-demand blocks project to 0."""
-    w = v[:, blocks.columns]
+    simplices ``{p >= 0, sum(p) = total}`` of the table's blocks, by one padded
+    sort over all rows and blocks (Duchi et al., ICML 2008). Zero-demand
+    blocks project to 0."""
+    w = v[:, table.columns]
     # descending sort; the -inf padding lands after each block's entries
-    u = np.sort(np.where(blocks.valid, w, -np.inf), axis=-1)[..., ::-1]
-    css = np.cumsum(np.where(blocks.valid, u, 0.0), axis=-1) - blocks.totals[:, None]
+    u = np.sort(np.where(table.valid, w, -np.inf), axis=-1)[..., ::-1]
+    css = np.cumsum(np.where(table.valid, u, 0.0), axis=-1) - table.totals[:, None]
     idx = np.arange(1, u.shape[-1] + 1)
     cond = u - css / idx > 0
     rho = u.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1)  # last True
     tau = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
-    proj = np.where(blocks.totals[:, None] > 0, np.maximum(w - tau, 0.0), 0.0)
-    out = np.empty_like(v)
-    out[:, blocks.columns[blocks.valid]] = proj[:, blocks.valid]
-    return out
+    proj = np.where(table.totals[:, None] > 0, np.maximum(w - tau, 0.0), 0.0)
+    return proj[:, table.valid]  # valid entries, block by block, are the columns in order
 
 
 def _class_norms(v: np.ndarray, n: int) -> np.ndarray:
@@ -116,7 +90,7 @@ def _cost_and_grad(table: PathTable, params, z: np.ndarray, want_grad=True):
     return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
 
 
-def _backtrack(table: PathTable, params, blocks: _Blocks, z, grad, cost, step):
+def _backtrack(table: PathTable, params, z, grad, cost, step):
     """Armijo backtracking for every row at once.
 
     Try ``t`` of a row uses the step ``step * 2**-t``. As in sequential
@@ -137,7 +111,7 @@ def _backtrack(table: PathTable, params, blocks: _Blocks, z, grad, cost, step):
         tried = (k == 0) | (steps >= _MIN_STEP)
         base = z[pending, None, :]
         slope = grad[pending, None, :]
-        cand = _project((base - steps[..., None] * slope).reshape(-1, z.shape[1]), blocks)
+        cand = _project((base - steps[..., None] * slope).reshape(-1, z.shape[1]), table)
         cand = cand.reshape(len(pending), len(k), z.shape[1])
         cand_cost = _cost_and_grad(table, params, cand.reshape(-1, z.shape[1]),
                                    want_grad=False)[0].reshape(steps.shape)
@@ -167,7 +141,6 @@ def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
     row is left out of later iterations. Returns (points, costs,
     stationarity, iterations), one entry per row."""
     n = table.total_paths
-    blocks = _blocks(table)
     cost, grad = _cost_and_grad(table, params, z)
     norms = np.linalg.norm(grad.reshape(len(z), 2, n), axis=2)
     step = np.minimum(1.0, 1.0 / (1.0 + np.hypot(norms[:, 0], norms[:, 1])))
@@ -179,7 +152,7 @@ def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
             break
         iterations[live] = it + 1
         moved, new_step, cand, cand_cost = _backtrack(
-            table, params, blocks, z[live], grad[live], cost[live], step[live])
+            table, params, z[live], grad[live], cost[live], step[live])
         # a row that found no acceptable step stops where it is
         live = live[moved]
         cand, cand_cost = cand[moved], cand_cost[moved]
@@ -201,7 +174,7 @@ def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
         stalls[live] = np.where(flat, stalls[live] + 1, 0)
         live = live[~(done | (stalls[live] >= 3))]
     # gradient-mapping stationarity at unit step, scaled by cost
-    grad_map = _class_norms(z - _project(z - grad, blocks), n)
+    grad_map = _class_norms(z - _project(z - grad, table), n)
     return z, cost, grad_map / np.maximum(cost, 1e-12), iterations
 
 
@@ -251,22 +224,6 @@ def _compositions(n: int, parts: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _block_grids(table: PathTable, resolution: float) -> list[np.ndarray]:
-    """Per-OD-class grids over the scaled simplices; order is human blocks
-    then auto blocks, OD by OD."""
-    steps = max(1, round(1.0 / resolution))
-    grids = []
-    for demand_arr in (table.demand_human, table.demand_auto):
-        for i, blk in enumerate(table.blocks):
-            m = blk.stop - blk.start
-            demand = float(demand_arr[i])
-            if demand == 0.0:
-                grids.append(np.zeros((1, m)))
-            else:
-                grids.append(_compositions(steps, m) * (demand / steps))
-    return grids
-
-
 def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     """Exhaustive grid search over the product of path-flow simplices.
 
@@ -278,27 +235,28 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     if not 0 < resolution <= 1:
         raise errors.InvalidParameterError("resolution must be in (0, 1]")
     table = path_table(net)
-    n_od = len(table.blocks)
-    path_count = 2 * sum(blk.stop - blk.start for blk in table.blocks)
-    if path_count > 6:
+    n = table.total_paths
+    if 2 * n > 6:
         raise errors.TooLargeError(
-            f"{path_count} paths across OD-class pairs exceeds the brute-force guard of 6"
+            f"{2 * n} paths across OD-class pairs exceeds the brute-force guard of 6"
         )
     params = _net_arrays(net)
-    grids = _block_grids(table, resolution)
-    sizes = [g.shape[0] for g in grids]
+    # one grid per block over its scaled simplex, padded to the layout's width
+    steps = max(1, round(1.0 / resolution))
+    grids = [_compositions(steps, m) * (demand / steps) if demand > 0 else np.zeros((1, m))
+             for m, demand in zip(table.valid.sum(axis=1), table.totals)]
+    sizes = [len(g) for g in grids]
+    first_rows = np.cumsum([0] + sizes[:-1])
+    width = table.valid.shape[1]
+    stacked = np.vstack([np.pad(g, ((0, 0), (0, width - g.shape[1]))) for g in grids])
     n_points = int(np.prod(sizes))
     best_cost = np.inf
     best_point = None
     chunk = 200_000
-    n = table.total_paths
     for lo in range(0, n_points, chunk):
         # grid points in lexicographic order of their per-block indices
         idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), sizes)
-        pts = np.empty((idx[0].size, 2 * n))
-        for i, blk in enumerate(table.blocks):
-            pts[:, blk] = grids[i][idx[i]]
-            pts[:, n + blk.start:n + blk.stop] = grids[n_od + i][idx[n_od + i]]
+        pts = stacked[np.stack(idx, axis=1) + first_rows][:, table.valid]
         costs = _cost_and_grad(table, params, pts, want_grad=False)[0]
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
@@ -316,9 +274,7 @@ def grid_error_bound(net: Network, resolution: float) -> float:
     """
     table = path_table(net)
     params = _net_arrays(net)
-    total_h = float(table.demand_human.sum())
-    total_a = float(table.demand_auto.sum())
-    t_bar = total_h + total_a
+    t_bar = float(table.demand_human.sum()) + float(table.demand_auto.sum())
     big = np.maximum(params.h, params.hbar)
     r_max = big * t_bar / params.d
     c_max = params.freeflow * (1.0 + params.rho * r_max ** params.sigma)
@@ -329,12 +285,8 @@ def grid_error_bound(net: Network, resolution: float) -> float:
         dc_max = np.where(params.affine, np.maximum(params.ax, params.ay), dc_max)
     per_road = c_max + t_bar * dc_max
     # max over paths of the summed per-road bound
-    grad_bound = float(max(per_road @ table.incidence[:, j] for j in range(table.total_paths)))
-    displacement = 0.0
-    for demand_arr in (table.demand_human, table.demand_auto):
-        for i, blk in enumerate(table.blocks):
-            m = blk.stop - blk.start
-            displacement += 2.0 * m * resolution * float(demand_arr[i])
+    grad_bound = float((per_road @ table.incidence).max())
+    displacement = float(np.sum(2.0 * table.valid.sum(axis=1) * resolution * table.totals))
     return grad_bound * displacement
 
 

@@ -17,6 +17,35 @@ def parallel_net(road_specs, demand_human=1.0, demand_auto=1.0) -> mar.Network:
     return mar.Network(nodes=("s", "t"), roads=roads, od_pairs=(od,))
 
 
+def separate_parallel(lengths, demands) -> mar.Network:
+    """OD pair i joins its own nodes s<i> -> t<i> by ``lengths[i]`` parallel
+    default roads and carries ``demands[i]``, a (human, auto) pair."""
+    roads, ods, nodes = [], [], []
+    for i, (m, (dh, da)) in enumerate(zip(lengths, demands)):
+        nodes += [f"s{i}", f"t{i}"]
+        roads += [mar.Road(rid=len(roads) + j + 1, tail=f"s{i}", head=f"t{i}")
+                  for j in range(m)]
+        ods.append(mar.ODPair(f"s{i}", f"t{i}", dh, da))
+    return mar.Network(nodes=tuple(nodes), roads=tuple(roads), od_pairs=tuple(ods))
+
+
+def grid_net(k: int) -> mar.Network:
+    """Bidirectional k x k grid of default roads with two crossing
+    corner-to-corner OD pairs."""
+    name = [[f"n{r}_{c}" for c in range(k)] for r in range(k)]
+    ends = []
+    for r in range(k):
+        for c in range(k):
+            if c + 1 < k:
+                ends += [(name[r][c], name[r][c + 1]), (name[r][c + 1], name[r][c])]
+            if r + 1 < k:
+                ends += [(name[r][c], name[r + 1][c]), (name[r + 1][c], name[r][c])]
+    roads = tuple(mar.Road(rid=i + 1, tail=tail, head=head) for i, (tail, head) in enumerate(ends))
+    ods = (mar.ODPair(name[0][0], name[k - 1][k - 1], 1.0, 1.0),
+           mar.ODPair(name[k - 1][0], name[0][k - 1], 1.0, 1.0))
+    return mar.Network(tuple(n for row in name for n in row), roads, ods)
+
+
 def symmetric_pair(sigma=1.0, rho=1.0, freeflow=1.0, headway=1.0,
                    demand_human=1.0, demand_auto=1.0) -> mar.Network:
     spec = dict(length=1.0, headway=headway, platoon_headway=headway,

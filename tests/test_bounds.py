@@ -3,8 +3,9 @@ import pytest
 
 import mar
 from mar import errors
+from mar.bounds import _best_optimum
 
-from factories import parallel_net, random_road, random_network, symmetric_pair
+from factories import grid_net, parallel_net, random_road, random_network, symmetric_pair
 
 
 def asym_road(headway, platoon_headway, sigma=1.0, model=mar.CapacityModel.MODEL1, **kw):
@@ -276,6 +277,12 @@ class TestEmpiricalPoA:
         net = parallel_net([dict(affine=mar.AffineMixed(1, 1, 1))])
         with pytest.raises(errors.UnsupportedCostKindError):
             mar.empirical_poa(net)
+
+
+def test_best_optimum_does_not_swallow_the_path_cap():
+    # its TooLargeError handler is the brute-force guard, not the path cap
+    with pytest.raises(errors.TooLargeError, match="cap"):
+        _best_optimum(grid_net(6), mar.OptimumConfig(restarts=1))
 
 
 class TestTightnessProbe:

@@ -15,7 +15,7 @@ from mar import errors
 from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
 from mar.scenario import _DEMOS, Scenario, parse_scenario
 
-from factories import symmetric_pair
+from factories import grid_net, symmetric_pair
 
 
 MINIMAL = {
@@ -32,6 +32,19 @@ MINIMAL = {
         "od_pairs": [{"origin": "s", "destination": "t",
                       "demand_human": 1.0, "demand_auto": 1.0}],
     },
+}
+
+
+TWO_OD = {
+    "nodes": ["s", "a", "t"],
+    "roads": [{"id": 1, "tail": "s", "head": "a", "headway": 2.0, "platoon_headway": 1.0},
+              {"id": 2, "tail": "s", "head": "a", "headway": 1.5, "platoon_headway": 1.5,
+               "sigma": 2.0, "capacity_model": "model2"},
+              {"id": 3, "tail": "a", "head": "t", "headway": 1.0, "platoon_headway": 1.8},
+              {"id": 4, "tail": "a", "head": "t", "headway": 2.5, "platoon_headway": 1.25,
+               "sigma": 2.0, "capacity_model": "model2"}],
+    "od_pairs": [{"origin": "s", "destination": "t", "demand_human": 1.0, "demand_auto": 0.8},
+                 {"origin": "a", "destination": "t", "demand_human": 0.6, "demand_auto": 0.9}],
 }
 
 
@@ -363,6 +376,36 @@ class TestMainCli:
         assert run(parse_scenario(text)) == 0
         assert via_cli == capsys.readouterr().out
         assert marker in via_cli
+
+    @pytest.mark.parametrize("parameter, start, stop", [
+        ("autonomy_share", 0.2, 0.8), ("demand_scale", 0.5, 1.5), ("k_scale", 1.0, 2.0),
+        ("sigma", 1.0, 2.0)])
+    def test_sweep_enumerates_the_topology_once(self, tmp_path, parameter, start, stop):
+        text = json.dumps({"schema_version": "1", "experiment": "sweep", "network": TWO_OD,
+                           "optimum": {"restarts": 2},
+                           "sweep": {"parameter": parameter, "start": start, "stop": stop,
+                                     "steps": 3}})
+        mar.network._topology.cache_clear()
+        assert run(parse_scenario(text), out=str(tmp_path / "sweep.csv")) == 0
+        info = mar.network._topology.cache_info()
+        assert info.misses == 1
+        assert info.hits > 0
+
+    @pytest.mark.parametrize("verb", ["eq", "poa"])
+    def test_too_many_paths_fail_fast(self, tmp_path, capsys, verb):
+        net = grid_net(6)
+        network = {
+            "nodes": list(net.nodes),
+            "roads": [{"id": r.rid, "tail": r.tail, "head": r.head} for r in net.roads],
+            "od_pairs": [{"origin": od.origin, "destination": od.destination,
+                          "demand_human": od.demand_human, "demand_auto": od.demand_auto}
+                         for od in net.od_pairs]}
+        path = tmp_path / "grid.json"
+        path.write_text(scenario_text(network=network))
+        assert main([verb, "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "cap" in err
 
     def test_byte_identical_reports(self, tmp_path):
         path = tmp_path / "s.json"

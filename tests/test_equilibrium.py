@@ -6,7 +6,7 @@ import pytest
 import mar
 from mar import errors
 from mar.costs import _latencies, _net_arrays
-from mar.equilibrium import _swap_direction
+from mar.equilibrium import _gap_at, _swap_direction
 
 from factories import (
     designated_min_gap_grid,
@@ -148,6 +148,20 @@ class TestSolveEquilibrium:
         auto_path_costs = table.incidence.T @ cv[1::2]
         for blk in table.blocks:
             assert min(human_path_costs[blk]) == min(auto_path_costs[blk])
+
+
+def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():
+    # OD 0 has three roads, the first dearer and the other two identical, so
+    # its block is padded to the width of OD 1's five identical roads
+    roads = [mar.Road(rid=1, tail="s0", head="t0", freeflow=2.0),
+             mar.Road(rid=2, tail="s0", head="t0"), mar.Road(rid=3, tail="s0", head="t0")]
+    roads += [mar.Road(rid=rid, tail="s1", head="t1") for rid in range(4, 9)]
+    net = mar.Network(("s0", "t0", "s1", "t1"), tuple(roads),
+                      (mar.ODPair("s0", "t0", 1.0, 1.0), mar.ODPair("s1", "t1", 1.0, 0.5)))
+    table = mar.path_table(net)
+    assert table.valid.sum(axis=1).tolist() == [3, 5, 3, 5]
+    _, _, _, aon = _gap_at(table, _net_arrays(net), *table.uniform_start())
+    assert aon.tolist() == [1, 3]
 
 
 class TestEquilibriumConfig:

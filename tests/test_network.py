@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import mar
 from mar import errors
 
-from factories import parallel_net, random_assignment, random_network, triangle_net
+from factories import (
+    grid_net, parallel_net, random_assignment, random_network, separate_parallel, triangle_net)
 
 
 def test_minimal_two_road_network():
@@ -156,6 +158,37 @@ class TestEnumeratePaths:
                 assert list(a) == sorted(a)
 
 
+class TestPathTable:
+    def test_uniform_start_matches_per_slice_reference(self, rng):
+        nets = [separate_parallel([1, 4, 2, 5, 1], [(1.5, 0.0), (0.0, 1.2), (2.0, 0.3),
+                                                    (0.7, 0.0), (0.0, 2.5)])]
+        nets += [random_network(rng) for _ in range(20)]
+        for net in nets:
+            table = mar.path_table(net)
+            ph = np.zeros(table.total_paths)
+            pa = np.zeros(table.total_paths)
+            for i, blk in enumerate(table.blocks):
+                m = blk.stop - blk.start
+                ph[blk] = table.demand_human[i] / m
+                pa[blk] = table.demand_auto[i] / m
+            uniform = table.uniform_start()
+            np.testing.assert_array_equal(uniform[0], ph)
+            np.testing.assert_array_equal(uniform[1], pa)
+
+    def test_six_by_six_grid_fails_fast(self):
+        # 1,262,816 simple corner-to-corner paths per OD pair
+        net = grid_net(6)
+        started = time.perf_counter()
+        with pytest.raises(errors.TooLargeError, match=f"n0_0->n5_5 .* {mar.network.MAX_PATHS}"):
+            mar.path_table(net)
+        with pytest.raises(errors.TooLargeError):
+            mar.enumerate_paths(net, net.od_pairs[0])
+        assert time.perf_counter() - started < 20.0
+
+    def test_five_by_five_grid_stays_under_the_cap(self):
+        assert mar.path_table(grid_net(5)).total_paths == 17024
+
+
 class TestToLinkFlows:
     def test_single_path_human_only(self):
         net = parallel_net([{}], demand_human=2.0, demand_auto=0.0)
@@ -251,6 +284,27 @@ class TestCheckFeasible:
         assert mar.check_feasible(net, good)
         bad = [2.0, 0.0, 0.0, 0.0]
         assert not mar.check_feasible(net, bad)
+
+
+_ROAD = mar.Road(rid=1, tail="s", head="t")
+_NON_FINITE_ENTRY_POINTS = {
+    "FlowVector": lambda v: mar.FlowVector([v, 1.0]),
+    "check_feasible": lambda v: mar.check_feasible(parallel_net([{}, {}]), [v, 0.0, 1.0, 1.0]),
+    "social_cost": lambda v: mar.social_cost(parallel_net([{}, {}]), [v, 0.0, 1.0, 1.0]),
+    "vi_residual": lambda v: mar.vi_residual(parallel_net([{}, {}]), [1.0] * 4, [v, 0, 1, 1]),
+    "link_cost": lambda v: mar.link_cost(_ROAD, v, 1.0),
+    "autonomy_level": lambda v: mar.autonomy_level(1.0, v),
+    "xi": lambda v: mar.xi(v),
+    "beta_road_closed_form": lambda v: mar.beta_road_closed_form(_ROAD, v, 1.0, 1.0),
+    "beta_road_numeric": lambda v: mar.beta_road_numeric(_ROAD, 1.0, v, 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry_point", sorted(_NON_FINITE_ENTRY_POINTS))
+def test_non_finite_flows_rejected(entry_point, value):
+    with pytest.raises(errors.MarError):
+        _NON_FINITE_ENTRY_POINTS[entry_point](value)
 
 
 class TestFlowVector:

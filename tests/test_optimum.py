@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,10 @@ import mar
 from mar import errors
 from mar.costs import _net_arrays
 from mar.optimum import (
-    _STATIONARITY_TOL, _backtrack, _blocks, _cost_and_grad, _descend, _project, _winner)
+    _STATIONARITY_TOL, _backtrack, _cost_and_grad, _descend, _project, _winner)
 
-from factories import designated_two_road, parallel_net, random_network, symmetric_pair
+from factories import (
+    designated_two_road, parallel_net, random_network, separate_parallel, symmetric_pair)
 
 
 def reference_projection(v, total):
@@ -27,10 +26,10 @@ def reference_projection(v, total):
     return np.maximum(v - tau, 0.0)
 
 
-def sequential_backtrack(table, params, blocks, z, grad, cost, step):
+def sequential_backtrack(table, params, z, grad, cost, step):
     """Armijo backtracking of one row by one halving at a time."""
     for _ in range(60):
-        cand = _project((z - step * grad)[None, :], blocks)
+        cand = _project((z - step * grad)[None, :], table)
         direction = float(np.dot(grad, cand[0] - z))
         cand_cost = _cost_and_grad(table, params, cand, want_grad=False)[0][0]
         if cand_cost <= cost + 1e-4 * direction:
@@ -82,19 +81,13 @@ class TestSolveOptimum:
 class TestBatchedDescent:
     def test_projection_matches_per_block_reference(self, rng):
         # unequal block lengths, 1-path blocks and zero-demand blocks
-        lengths = [1, 4, 2, 5, 1]
-        stops = np.cumsum(lengths)
-        table = SimpleNamespace(
-            total_paths=int(stops[-1]),
-            blocks=tuple(slice(int(b - m), int(b)) for b, m in zip(stops, lengths)),
-            demand_human=np.array([1.5, 0.0, 2.0, 0.7, 0.0]),
-            demand_auto=np.array([0.0, 1.2, 0.3, 0.0, 2.5]))
-        blocks = _blocks(table)
+        table = mar.path_table(separate_parallel(
+            [1, 4, 2, 5, 1], [(1.5, 0.0), (0.0, 1.2), (2.0, 0.3), (0.7, 0.0), (0.0, 2.5)]))
         totals = np.concatenate([table.demand_human, table.demand_auto])
         v = rng.normal(scale=2.0, size=(50, 2 * table.total_paths))
         v[::2] = np.round(v[::2])  # ties
         v[1] = 0.0
-        out = _project(v, blocks)
+        out = _project(v, table)
         for row_in, row_out in zip(v, out):
             for b, blk in enumerate(class_blocks(table)):
                 expect = reference_projection(row_in[blk], totals[b])
@@ -106,17 +99,16 @@ class TestBatchedDescent:
                            demand_human=3.0, demand_auto=2.0)
         table = mar.path_table(net)
         params = _net_arrays(net)
-        blocks = _blocks(table)
         z = np.array([np.concatenate(table.random_start(rng)) for _ in range(24)])
         cost, grad = _cost_and_grad(table, params, z)
         grad[::3] *= -1.0  # ascent directions exhaust the tries
         step = 10.0 ** rng.uniform(-16, 3, size=len(z))
         step[:4] = [1e3, 1e-15, 1e-16, 1.0]
-        ok, new_step, _, _ = _backtrack(table, params, blocks, z, grad, cost, step)
+        ok, new_step, _, _ = _backtrack(table, params, z, grad, cost, step)
         tries = []
         for r in range(len(z)):
-            expect_ok, expect_step = sequential_backtrack(table, params, blocks, z[r],
-                                                          grad[r], cost[r], step[r])
+            expect_ok, expect_step = sequential_backtrack(table, params, z[r], grad[r],
+                                                          cost[r], step[r])
             assert ok[r] == expect_ok
             if expect_ok:
                 assert new_step[r] == expect_step

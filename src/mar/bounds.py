@@ -149,6 +149,8 @@ class AggregateCost:
     def __call__(self, f):
         scalar = np.isscalar(f)
         f = np.asarray(f, dtype=float)
+        if not np.isfinite(f).all():
+            raise errors.InvalidParameterError("aggregate flow must be finite")
         if f.min(initial=0.0) < 0:
             raise errors.NegativeFlowError("aggregate flow must be >= 0")
         road = self.road
@@ -185,6 +187,9 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
     """
     if not road.is_bpr:
         raise errors.UnsupportedCostKindError("aggregate_cost requires a BPR road")
+    if not (math.isfinite(x_eq) and math.isfinite(y_eq)):
+        raise errors.InvalidParameterError(
+            f"equilibrium flows must be finite, got ({x_eq}, {y_eq})")
     if x_eq < 0 or y_eq < 0:
         raise errors.NegativeFlowError("equilibrium flows must be >= 0")
     big, small, swapped = _orient(road)

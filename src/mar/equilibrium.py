@@ -10,12 +10,12 @@ Two averaging step rules are available. Plain MSA averages the all-or-nothing
 assignment with step ``1/(iteration+1)``. The self-regulated variant (the
 default) grows the step denominator slowly while the gap improves and quickly
 when it deteriorates. Averaging alone oscillates around the equilibrium with
-amplitude proportional to the step, so once the gap is below 1e-2 the solver
-switches to steps along one proportional-swap field (whose rest points are
-exactly the Wardrop points), each accepted only when the measured gap drops.
-When the swap step stalls, a least-squares support polish makes the pure
-class-composition exchange the field cannot express. Every returned answer is
-certified by ``relative_gap``.
+amplitude proportional to the step, so once the gap is below 1e-2 each
+iteration first tries one equalization move: a damped least-squares Newton
+step on the used paths toward equal path costs per OD pair, moving each class
+on its own. The step is kept only when the measured gap drops; otherwise the
+iteration takes the averaging step. Every returned answer is certified by
+``relative_gap``.
 """
 
 from __future__ import annotations
@@ -113,87 +113,62 @@ def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
     return gap_abs / total_cost, gap_abs, c_road, aon
 
 
-def _swap_direction(table: PathTable, c_road: np.ndarray,
-                    ph: np.ndarray, pa: np.ndarray):
-    """Proportional-swap direction, stationary exactly at Wardrop points.
+def _newton_step(table: PathTable, params, c_road: np.ndarray,
+                 ph: np.ndarray, pa: np.ndarray):
+    """One damped least-squares Newton step toward equal support-path costs.
 
-    Flow leaves each path toward every cheaper path of its OD block at a rate
-    proportional to the cost difference (Smith's pairwise swap), and in
-    addition toward the block's cheapest path at a rate equal to its excess
-    over that path's cost. Returns (human dir, auto dir, max per-unit outflow
-    rate).
-    """
-    cp = table.incidence.T @ c_road
-    dh, da = np.zeros_like(ph), np.zeros_like(pa)
-    max_rate = 0.0
-    for blk in table.blocks:
-        costs = cp[blk]
-        diff = np.maximum(costs[:, None] - costs[None, :], 0.0)
-        jmin = int(np.argmin(costs))
-        diff[:, jmin] += costs - costs[jmin]
-        rate = diff.sum(axis=1)
-        max_rate = max(max_rate, float(rate.max(initial=0.0)))
-        for p, d in ((ph, dh), (pa, da)):
-            d[blk] += diff.T @ p[blk] - p[blk] * rate
-    return dh, da, max_rate
-
-
-def _support_polish(table: PathTable, params, ph: np.ndarray, pa: np.ndarray,
-                    rounds: int = 12, drop_tol: float = 1e-3):
-    """Equalize support-path costs by damped least-squares Newton steps.
-
-    The swap field moves the two classes in lockstep, so it cannot express
-    pure class-composition exchanges; near equilibria that require one the
-    dynamics stall. This polish drops epsilon-used paths onto the cheapest
-    path, then solves the linearized equal-cost/demand system on the support
-    (least-norm step, since equilibria form a manifold), with a ratio test to
-    stay nonnegative. Returns a candidate point; the caller keeps it only if
-    the gap certificate improves.
+    Moves each class's flow on paths carrying under 1e-3 of its OD demand onto
+    the block's cheapest path (under the road latencies ``c_road`` at the
+    given point), then solves the linearized equal-cost/demand system on the
+    support (least-norm step, since equilibria form a manifold), with a ratio
+    test to stay nonnegative. The two classes move independently, so the step
+    also makes the pure class-composition exchanges some equilibria require.
+    Returns a candidate point; the caller keeps it only if the gap certificate
+    improves.
     """
     ph = ph.copy()
     pa = pa.copy()
     n = table.total_paths
     incidence = table.incidence
-    x, y = table.link_flows(ph, pa)
-    cp = incidence.T @ _latencies(params, x, y)
+    cp = incidence.T @ c_road
     for i, blk in enumerate(table.blocks):
         jmin = blk.start + int(np.argmin(cp[blk]))
         for p, demand in ((ph, table.demand_human[i]), (pa, table.demand_auto[i])):
             for j in range(blk.start, blk.stop):
-                if j != jmin and p[j] < drop_tol * max(float(demand), 1e-300):
+                if j != jmin and p[j] < 1e-3 * max(float(demand), 1e-300):
                     p[jmin] += p[j]
                     p[j] = 0.0
-    for _ in range(rounds):
-        x, y = table.link_flows(ph, pa)
-        c, dcdx, dcdy = _latency_partials(params, x, y)
-        cp = incidence.T @ c
-        rows = []
-        rhs = []
-        mask = np.zeros(2 * n, dtype=bool)
-        for i, blk in enumerate(table.blocks):
-            support = [j for j in range(blk.start, blk.stop) if ph[j] + pa[j] > 0.0]
-            mask[support] = True
-            mask[[n + j for j in support]] = True
-            ref = support[0]
-            for j in support[1:]:
-                diff = incidence[:, j] - incidence[:, ref]
-                row = np.empty(2 * n)
-                row[:n] = (diff * dcdx) @ incidence
-                row[n:] = (diff * dcdy) @ incidence
-                rows.append(row)
-                rhs.append(cp[ref] - cp[j])
-            row_h = np.zeros(2 * n)
-            row_h[support] = 1.0
-            rows.append(row_h)
-            rhs.append(float(table.demand_human[i]) - float(ph[support].sum()))
-            row_a = np.zeros(2 * n)
-            row_a[[n + j for j in support]] = 1.0
-            rows.append(row_a)
-            rhs.append(float(table.demand_auto[i]) - float(pa[support].sum()))
-        try:
-            step, *_ = np.linalg.lstsq(np.array(rows)[:, mask], np.array(rhs), rcond=None)
-        except np.linalg.LinAlgError:
-            break
+    x, y = table.link_flows(ph, pa)
+    c, dcdx, dcdy = _latency_partials(params, x, y)
+    cp = incidence.T @ c
+    rows = []
+    rhs = []
+    mask = np.zeros(2 * n, dtype=bool)
+    for i, blk in enumerate(table.blocks):
+        support = [j for j in range(blk.start, blk.stop) if ph[j] + pa[j] > 0.0]
+        mask[support] = True
+        mask[[n + j for j in support]] = True
+        ref = support[0]
+        for j in support[1:]:
+            diff = incidence[:, j] - incidence[:, ref]
+            row = np.empty(2 * n)
+            row[:n] = (diff * dcdx) @ incidence
+            row[n:] = (diff * dcdy) @ incidence
+            rows.append(row)
+            rhs.append(cp[ref] - cp[j])
+        row_h = np.zeros(2 * n)
+        row_h[support] = 1.0
+        rows.append(row_h)
+        rhs.append(float(table.demand_human[i]) - float(ph[support].sum()))
+        row_a = np.zeros(2 * n)
+        row_a[[n + j for j in support]] = 1.0
+        rows.append(row_a)
+        rhs.append(float(table.demand_auto[i]) - float(pa[support].sum()))
+    try:
+        step, *_ = np.linalg.lstsq(np.array(rows)[:, mask], np.array(rhs), rcond=None)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is not None:
         full = np.zeros(2 * n)
         full[mask] = step
         dh, da = full[:n], full[n:]
@@ -204,10 +179,9 @@ def _support_polish(table: PathTable, params, ph: np.ndarray, pa: np.ndarray,
             neg = d < 0.0
             if neg.any():
                 damping = min(damping, float(np.min(0.95 * p[neg] / -d[neg])))
-        if not np.isfinite(damping) or damping <= 0.0:
-            break
-        ph = np.maximum(ph + damping * dh, 0.0)
-        pa = np.maximum(pa + damping * da, 0.0)
+        if np.isfinite(damping) and damping > 0.0:
+            ph = np.maximum(ph + damping * dh, 0.0)
+            pa = np.maximum(pa + damping * da, 0.0)
     # Newton preserves the demand totals only to first order; restore exactly
     for i, blk in enumerate(table.blocks):
         for p, demand in ((ph, float(table.demand_human[i])),
@@ -263,11 +237,7 @@ def solve_equilibrium(
     prev_gap = np.inf
     denom = 1.0
     averaging_steps = 0
-    swap_step = 0.1
-    last_polish = -10**9
-    its = 0
     for it in range(cfg.max_iterations + 1):
-        its = it
         gap_rel, _, c_road, aon = _gap_at(table, params, ph, pa)
         if on_iterate is not None:
             on_iterate(it, table.assignment(ph, pa), gap_rel)
@@ -280,30 +250,11 @@ def solve_equilibrium(
             break
 
         if gap_rel <= 1e-2:
-            # equalization regime: a swap step, accepted only if the gap drops
-            dh, da, max_rate = _swap_direction(table, c_road, ph, pa)
-            step = min(swap_step, 0.9 / max(max_rate, 1e-12))
-            accepted = False
-            for _ in range(8):
-                cand_h = ph + step * dh
-                cand_a = pa + step * da
-                if _gap_at(table, params, cand_h, cand_a)[0] < gap_rel:
-                    ph, pa = cand_h, cand_a
-                    swap_step = step * 1.3
-                    accepted = True
-                    break
-                step *= 0.5
-            if accepted:
+            # equalization regime: a Newton step, kept only if the gap drops
+            cand_h, cand_a = _newton_step(table, params, c_road, ph, pa)
+            if _gap_at(table, params, cand_h, cand_a)[0] < gap_rel:
+                ph, pa = cand_h, cand_a
                 continue
-            if it - last_polish >= 20:
-                # the swap field stalled: likely a point needing a pure
-                # class-composition exchange, which only the polish can make
-                last_polish = it
-                cand_h, cand_a = _support_polish(table, params, ph, pa)
-                cand_gap = _gap_at(table, params, cand_h, cand_a)[0]
-                if cand_gap < gap_rel:
-                    ph, pa = cand_h, cand_a
-                    continue
 
         if cfg.step_rule is StepRule.MSA:
             phi = 1.0 / (averaging_steps + 1.0)
@@ -322,14 +273,9 @@ def solve_equilibrium(
             log.debug("iteration %d: relative gap %.3e", it, gap_rel)
 
     ph, pa = best
-    polished_h, polished_a = _support_polish(table, params, ph, pa)
-    polished_gap = _gap_at(table, params, polished_h, polished_a)[0]
-    if polished_gap < best_gap:
-        ph, pa, best_gap = polished_h, polished_a, polished_gap
-        if best_gap <= cfg.gap_tolerance:
-            return _result(table, ph, pa, best_gap, its, True)
-    log.info("not converged after %d iterations, best gap %.3e", its, best_gap)
-    return _result(table, ph, pa, best_gap, its, False)
+    log.info("not converged after %d iterations, best gap %.3e",
+             cfg.max_iterations, best_gap)
+    return _result(table, ph, pa, best_gap, cfg.max_iterations, False)
 
 
 def _result(table, ph, pa, gap_rel, iterations, converged) -> SolveResult:

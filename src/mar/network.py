@@ -392,8 +392,8 @@ def _validate_path(net: Network, od: ODPair, path: Path) -> None:
 def validate_assignment(net: Network, pf: PathFlowAssignment, tol: float = 1e-9) -> None:
     """Raise unless ``pf`` is a valid assignment for ``net``.
 
-    Checks path validity, nonnegativity, and per-class demand totals within
-    relative tolerance ``tol``.
+    Checks path validity, finite nonnegative flows, and per-class demand totals
+    within relative tolerance ``tol``.
     """
     if len(pf.human) != len(net.od_pairs) or len(pf.auto) != len(net.od_pairs):
         raise errors.DimensionMismatchError(
@@ -407,6 +407,7 @@ def validate_assignment(net: Network, pf: PathFlowAssignment, tol: float = 1e-9)
             total = 0.0
             for path, flow in flows.items():
                 _validate_path(net, od, path)
+                _check_finite(f"path {path}", **{f"{cls_name} flow": flow})
                 if flow < -1e-12:
                     raise errors.NegativeFlowError(
                         f"negative {cls_name} flow {flow} on path {path}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .costs import _latencies, _latency_partials, _net_arrays
+from .costs import _latencies, _latency_at, _latency_partials, _net_arrays
 from .network import Network, PathTable, path_table
 from .equilibrium import SolveResult, _result
 
@@ -277,11 +277,10 @@ def grid_error_bound(net: Network, resolution: float) -> float:
     t_bar = float(table.demand_human.sum()) + float(table.demand_auto.sum())
     big = np.maximum(params.h, params.hbar)
     r_max = big * t_bar / params.d
-    c_max = params.freeflow * (1.0 + params.rho * r_max ** params.sigma)
+    c_max = _latency_at(params, t_bar, t_bar, r_max)
     dc_max = params.freeflow * params.rho * params.sigma * \
         np.where(r_max > 0, r_max ** (params.sigma - 1.0), 1.0) * 2.0 * big / params.d
     if params.affine.any():
-        c_max = np.where(params.affine, params.ax * t_bar + params.ay * t_bar + params.a0, c_max)
         dc_max = np.where(params.affine, np.maximum(params.ax, params.ay), dc_max)
     per_road = c_max + t_bar * dc_max
     # max over paths of the summed per-road bound

@@ -29,9 +29,13 @@ def separate_parallel(lengths, demands) -> mar.Network:
     return mar.Network(nodes=tuple(nodes), roads=tuple(roads), od_pairs=tuple(ods))
 
 
-def grid_net(k: int) -> mar.Network:
-    """Bidirectional k x k grid of default roads with two crossing
-    corner-to-corner OD pairs."""
+def grid_net(k: int, rng: np.random.Generator | None = None) -> mar.Network:
+    """Bidirectional k x k grid with two crossing corner-to-corner OD pairs.
+
+    Default roads and unit demands; given ``rng``, random roads and then
+    demands, drawn in the order of the benchmark's grid generator (so
+    ``default_rng(0)`` yields its seed-0 grid stream at ``k = 4``).
+    """
     name = [[f"n{r}_{c}" for c in range(k)] for r in range(k)]
     ends = []
     for r in range(k):
@@ -40,9 +44,15 @@ def grid_net(k: int) -> mar.Network:
                 ends += [(name[r][c], name[r][c + 1]), (name[r][c + 1], name[r][c])]
             if r + 1 < k:
                 ends += [(name[r][c], name[r + 1][c]), (name[r + 1][c], name[r][c])]
-    roads = tuple(mar.Road(rid=i + 1, tail=tail, head=head) for i, (tail, head) in enumerate(ends))
-    ods = (mar.ODPair(name[0][0], name[k - 1][k - 1], 1.0, 1.0),
-           mar.ODPair(name[k - 1][0], name[0][k - 1], 1.0, 1.0))
+    if rng is None:
+        roads = tuple(mar.Road(rid=i + 1, tail=tail, head=head)
+                      for i, (tail, head) in enumerate(ends))
+        demands = [(1.0, 1.0), (1.0, 1.0)]
+    else:
+        roads = tuple(random_road(rng, i + 1, tail, head) for i, (tail, head) in enumerate(ends))
+        demands = [(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)) for _ in range(2)]
+    ods = (mar.ODPair(name[0][0], name[k - 1][k - 1], *demands[0]),
+           mar.ODPair(name[k - 1][0], name[0][k - 1], *demands[1]))
     return mar.Network(tuple(n for row in name for n in row), roads, ods)
 
 

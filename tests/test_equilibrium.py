@@ -5,12 +5,13 @@ import pytest
 
 import mar
 from mar import errors
-from mar.costs import _latencies, _net_arrays
-from mar.equilibrium import _gap_at, _swap_direction
+from mar.costs import _net_arrays
+from mar.equilibrium import _gap_at
 
 from factories import (
     designated_min_gap_grid,
     designated_two_road,
+    grid_net,
     parallel_net,
     random_assignment,
     random_network,
@@ -149,6 +150,28 @@ class TestSolveEquilibrium:
         for blk in table.blocks:
             assert min(human_path_costs[blk]) == min(auto_path_costs[blk])
 
+    def test_fuzz_instances_converge_quickly(self):
+        # the acceptance fuzz stream: the equalization phase must not stall
+        # for thousands of iterations on any of its first 200 instances
+        gen = np.random.default_rng(987654321)
+        cfg = mar.EquilibriumConfig(max_iterations=30_000)
+        iterations = []
+        for _ in range(200):
+            res = mar.solve_equilibrium(random_network(gen), cfg)
+            assert res.converged
+            iterations.append(res.iterations)
+        assert max(iterations) <= 2_000, max(iterations)
+
+    def test_grids_converge(self):
+        # grids 4 and 5 of the seed-0 random 4x4 stream (368 paths) and the
+        # 5x5 grid of default roads (17,024 paths)
+        rng = np.random.default_rng(0)
+        random_grids = [grid_net(4, rng) for _ in range(6)]
+        cfg = mar.EquilibriumConfig(max_iterations=20_000, gap_tolerance=1e-6)
+        for net in (random_grids[4], random_grids[5], grid_net(5)):
+            res = mar.solve_equilibrium(net, cfg)
+            assert res.converged and res.relative_gap <= 1e-6, res.relative_gap
+
 
 def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():
     # OD 0 has three roads, the first dearer and the other two identical, so
@@ -169,67 +192,6 @@ class TestEquilibriumConfig:
     def test_gap_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(errors.InvalidParameterError, match="gap_tolerance"):
             mar.EquilibriumConfig(gap_tolerance=tol)
-
-
-def swap_at(net, pf):
-    table = mar.path_table(net)
-    ph, pa = table.arrays(pf)
-    x, y = table.link_flows(ph, pa)
-    return table, ph, pa, _swap_direction(table, _latencies(_net_arrays(net), x, y), ph, pa)
-
-
-class TestSwapDirection:
-    def test_conserves_each_block_and_class(self, rng):
-        for _ in range(50):
-            net = random_network(rng)
-            table, _, _, (dh, da, _) = swap_at(net, random_assignment(net, rng))
-            for blk in table.blocks:
-                for d in (dh, da):
-                    assert abs(d[blk].sum()) <= 1e-12 * (1.0 + np.abs(d[blk]).sum())
-
-    def test_zero_at_wardrop_point(self):
-        # the segregated split of the opposed-asymmetry pair and the uniform
-        # split of two identical roads have exactly equal road costs; on the
-        # constant-cost pair the costlier road is unused
-        opposed = parallel_net(
-            [dict(headway=2.0, platoon_headway=1.0, rho=1.0, sigma=1.0),
-             dict(headway=1.0, platoon_headway=2.0, rho=1.0, sigma=1.0)])
-        segregated = mar.PathFlowAssignment(
-            human=({(1,): 1.0, (2,): 0.0},), auto=({(1,): 0.0, (2,): 1.0},))
-        uniform = mar.PathFlowAssignment(
-            human=({(1,): 0.5, (2,): 0.5},), auto=({(1,): 0.5, (2,): 0.5},))
-        cheap_only = mar.PathFlowAssignment(
-            human=({(1,): 0.0, (2,): 2.0},), auto=({(1,): 0.0, (2,): 1.0},))
-        for net, pf in ((opposed, segregated), (symmetric_pair(), uniform),
-                        (constant_cost_pair(), cheap_only)):
-            assert mar.wardrop_gap(net, pf) == (0.0, 0.0)
-            _, _, _, (dh, da, _) = swap_at(net, pf)
-            assert not dh.any() and not da.any()
-
-    def test_capped_step_keeps_flows_nonnegative(self, rng):
-        moved = 0
-        for _ in range(200):
-            net = random_network(rng)
-            _, ph, pa, (dh, da, max_rate) = swap_at(net, random_assignment(net, rng))
-            if max_rate == 0.0:
-                continue
-            moved += 1
-            step = 0.9 / max_rate
-            assert (ph + step * dh).min() >= 0.0
-            assert (pa + step * da).min() >= 0.0
-        assert moved > 0
-
-    def test_fuzz_instances_converge_quickly(self):
-        # the acceptance fuzz stream: the swap phase must not stall for
-        # thousands of iterations on any of its first 200 instances
-        gen = np.random.default_rng(987654321)
-        cfg = mar.EquilibriumConfig(max_iterations=30_000)
-        iterations = []
-        for _ in range(200):
-            res = mar.solve_equilibrium(random_network(gen), cfg)
-            assert res.converged
-            iterations.append(res.iterations)
-        assert max(iterations) <= 2_000, max(iterations)
 
 
 class TestViResidual:

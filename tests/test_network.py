@@ -297,7 +297,32 @@ _NON_FINITE_ENTRY_POINTS = {
     "xi": lambda v: mar.xi(v),
     "beta_road_closed_form": lambda v: mar.beta_road_closed_form(_ROAD, v, 1.0, 1.0),
     "beta_road_numeric": lambda v: mar.beta_road_numeric(_ROAD, 1.0, v, 1.0),
+    "aggregate_cost": lambda v: mar.aggregate_cost(_ROAD, v, 1.0),
+    "AggregateCost": lambda v: mar.aggregate_cost(_ROAD, 1.0, 1.0)(v),
+    "verify_lemma_agg_poa_ratio-anchor":
+        lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, v, 0.5, 1.0),
+    "verify_lemma_agg_poa_ratio-f": lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, 1.0, v, 1.0),
+    "verify_lemma_agg_poa_ratio-g": lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, 1.0, 0.5, v),
 }
+
+
+def _through_assignment(check, cls_name):
+    """``check(net, pf)`` on two parallel roads with unit demands, where the
+    ``cls_name`` flow on road 1 is the value under test."""
+    def call(v):
+        flows = {"human": ({(1,): 1.0, (2,): 0.0},), "auto": ({(1,): 1.0, (2,): 0.0},)}
+        flows[cls_name] = ({(1,): v, (2,): 0.0},)
+        return check(parallel_net([{}, {}]), mar.PathFlowAssignment(**flows))
+    return call
+
+
+_NON_FINITE_ENTRY_POINTS.update({
+    f"{name}-{cls_name}": _through_assignment(check, cls_name)
+    for name, check in (("validate_assignment", mar.validate_assignment),
+                        ("wardrop_gap", mar.wardrop_gap),
+                        ("solve_equilibrium", lambda net, pf: mar.solve_equilibrium(net, start=pf)))
+    for cls_name in ("human", "auto")
+})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -146,6 +146,9 @@ def _newton_step(table: PathTable, params, c_road: np.ndarray,
     mask = np.zeros(2 * n, dtype=bool)
     for i, blk in enumerate(table.blocks):
         support = [j for j in range(blk.start, blk.stop) if ph[j] + pa[j] > 0.0]
+        if not support:
+            # an OD pair with zero demand in both classes carries no flow
+            continue
         mask[support] = True
         mask[[n + j for j in support]] = True
         ref = support[0]

@@ -172,6 +172,23 @@ class TestSolveEquilibrium:
             res = mar.solve_equilibrium(net, cfg)
             assert res.converged and res.relative_gap <= 1e-6, res.relative_gap
 
+    def test_zero_demand_od_pair_beside_asymmetric_one(self):
+        # the equalization step must skip an OD block that carries no flow
+        roads = (
+            mar.Road(rid=1, tail="s0", head="t0", length=1.0, headway=2.0,
+                     platoon_headway=1.0, freeflow=1.0, rho=1.0, sigma=1.0),
+            mar.Road(rid=2, tail="s0", head="t0", length=1.0, headway=2.0,
+                     platoon_headway=2.0, freeflow=1.0, rho=1.0, sigma=1.0),
+            mar.Road(rid=3, tail="s1", head="t1"),
+            mar.Road(rid=4, tail="s1", head="t1"),
+        )
+        net = mar.Network(("s0", "t0", "s1", "t1"), roads,
+                          (mar.ODPair("s0", "t0", 1.0, 1.0), mar.ODPair("s1", "t1", 0.0, 0.0)))
+        res = mar.solve_equilibrium(net, mar.EquilibriumConfig(gap_tolerance=1e-9))
+        assert res.converged and res.relative_gap <= 1e-9, res.relative_gap
+        assert sum(res.flows.human[1].values()) == 0.0
+        assert sum(res.flows.auto[1].values()) == 0.0
+
 
 def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():
     # OD 0 has three roads, the first dearer and the other two identical, so

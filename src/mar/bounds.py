@@ -299,8 +299,7 @@ def beta_network_estimate(net: Network, samples: int = 256, seed: int = 0) -> fl
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
-        ph, pa = table.random_start(rng)
-        x, y = table.link_flows(ph, pa)
+        x, y = table.link_flows(table.random_start(rng))
         for i, road in enumerate(net.roads):
             if x[i] + y[i] > 0:
                 best = max(best, beta_road_closed_form(road, float(x[i]), float(y[i]), sigma))
@@ -422,17 +421,14 @@ def _opposed_asymmetry_net(k: float, sigma: float, rho: float, demand: float) ->
 
 def _segregated_starts(table):
     """All-or-nothing class-to-path combinations, used to probe bad equilibria."""
-    n_od = len(table.blocks)
-    counts = table.valid[:n_od].sum(axis=1)
+    counts = table.valid.sum(axis=1)
     if counts.max() > 4:
         return []
-    # one path per OD pair, every combination in lexicographic order
-    picks = table.columns[np.arange(n_od), np.indices(counts).reshape(n_od, -1).T]
-    rows = np.arange(len(picks))[:, None]
-    human, auto = np.zeros((2, len(picks), table.total_paths))
-    human[rows, picks] = table.demand_human
-    auto[rows, picks] = table.demand_auto
-    return [(ph, pa) for ph in human for pa in auto]
+    # one path per block, every combination in lexicographic order
+    picks = table.columns[np.arange(len(counts)), np.indices(counts).reshape(len(counts), -1).T]
+    starts = np.zeros((len(picks), 2 * table.total_paths))
+    starts[np.arange(len(picks))[:, None], picks] = table.totals
+    return starts
 
 
 def tightness_probe(
@@ -475,12 +471,9 @@ def tightness_probe(
             opt, _ = _best_optimum(net, opt_cfg)
             rng = np.random.default_rng(seed)
             starts = [None, "random"]
-            starts.extend(
-                table.assignment(ph, pa) for ph, pa in _segregated_starts(table)
-            )
-            for _ in range(random_starts):
-                ph, pa = table.random_start(rng)
-                starts.append(table.assignment(ph, pa))
+            starts.extend(table.assignment(z) for z in _segregated_starts(table))
+            starts.extend(table.assignment(table.random_start(rng))
+                          for _ in range(random_starts))
             for start in starts:
                 eq = solve_equilibrium(net, eq_cfg, start=start)
                 if not eq.converged:

@@ -86,17 +86,16 @@ class SolveResult:
     converged: bool
 
 
-def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
-    """The Wardrop gap certificate at one point.
+def _gap_at(table: PathTable, params, z: np.ndarray):
+    """The Wardrop gap certificate at stacked path flows ``z``.
 
-    Returns (relative gap, absolute gap, road latencies, array of the
-    all-or-nothing path index per OD). Both vehicle classes see the same road
-    latencies, so the per-class shortest paths coincide.
+    Returns (relative gap, absolute gap, array of the all-or-nothing path
+    index per OD). Both vehicle classes see the same road latencies, so the
+    per-class shortest paths coincide.
     """
-    x, y = table.link_flows(ph, pa)
-    c_road = _latencies(params, x, y)
-    cp = table.incidence.T @ c_road
-    total_cost = float(np.dot(ph, cp) + np.dot(pa, cp))
+    x, y = table.link_flows(z)
+    cp = table.incidence.T @ _latencies(params, x, y)
+    total_cost = float(sum(np.dot(flows, cp) for flows in z.reshape(2, -1)))
     # each OD pair's cheapest path over the layout's human rows, ties to the
     # lowest index (padding repeats a block's first path, which argmin never
     # prefers); costs summed in OD order, as a Python sum, for any OD count
@@ -110,91 +109,74 @@ def _gap_at(table: PathTable, params, ph: np.ndarray, pa: np.ndarray):
     if total_cost <= 0.0:
         # a Network always carries positive demand
         raise errors.ZeroCostError("social cost is zero with positive demand")
-    return gap_abs / total_cost, gap_abs, c_road, aon
+    return gap_abs / total_cost, gap_abs, aon
 
 
-def _newton_step(table: PathTable, params, c_road: np.ndarray,
-                 ph: np.ndarray, pa: np.ndarray):
+def _newton_step(table: PathTable, params, cheapest: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One damped least-squares Newton step toward equal support-path costs.
 
     Moves each class's flow on paths carrying under 1e-3 of its OD demand onto
-    the block's cheapest path (under the road latencies ``c_road`` at the
-    given point), then solves the linearized equal-cost/demand system on the
-    support (least-norm step, since equilibria form a manifold), with a ratio
-    test to stay nonnegative. The two classes move independently, so the step
-    also makes the pure class-composition exchanges some equilibria require.
-    Returns a candidate point; the caller keeps it only if the gap certificate
-    improves.
+    the block's column ``cheapest[b]``, the all-or-nothing path at ``z``, then
+    solves the linearized equal-cost/demand system on the support (least-norm
+    step, since equilibria form a manifold), with a ratio test to stay
+    nonnegative. The two classes move independently, so the step also makes
+    the pure class-composition exchanges some equilibria require. Returns a
+    candidate point; the caller keeps it only if the gap certificate improves.
     """
-    ph = ph.copy()
-    pa = pa.copy()
     n = table.total_paths
+    n_od = len(table.blocks)
     incidence = table.incidence
-    cp = incidence.T @ c_road
-    for i, blk in enumerate(table.blocks):
-        jmin = blk.start + int(np.argmin(cp[blk]))
-        for p, demand in ((ph, table.demand_human[i]), (pa, table.demand_auto[i])):
-            for j in range(blk.start, blk.stop):
-                if j != jmin and p[j] < 1e-3 * max(float(demand), 1e-300):
-                    p[jmin] += p[j]
-                    p[j] = 0.0
-    x, y = table.link_flows(ph, pa)
+    z = z.copy()
+    # every small flow of a block moves, in column order, onto its cheapest path
+    flows = z[table.columns]
+    small = (table.valid & (table.columns != cheapest[:, None])
+             & (flows < 1e-3 * np.maximum(table.totals, 1e-300)[:, None]))
+    rows, offsets = np.nonzero(small)
+    np.add.at(z, cheapest[rows], flows[rows, offsets])
+    z[table.columns[rows, offsets]] = 0.0
+
+    x, y = table.link_flows(z)
     c, dcdx, dcdy = _latency_partials(params, x, y)
     cp = incidence.T @ c
-    rows = []
-    rhs = []
-    mask = np.zeros(2 * n, dtype=bool)
-    for i, blk in enumerate(table.blocks):
-        support = [j for j in range(blk.start, blk.stop) if ph[j] + pa[j] > 0.0]
-        if not support:
-            # an OD pair with zero demand in both classes carries no flow
-            continue
-        mask[support] = True
-        mask[[n + j for j in support]] = True
-        ref = support[0]
-        for j in support[1:]:
-            diff = incidence[:, j] - incidence[:, ref]
-            row = np.empty(2 * n)
-            row[:n] = (diff * dcdx) @ incidence
-            row[n:] = (diff * dcdy) @ incidence
-            rows.append(row)
-            rhs.append(cp[ref] - cp[j])
-        row_h = np.zeros(2 * n)
-        row_h[support] = 1.0
-        rows.append(row_h)
-        rhs.append(float(table.demand_human[i]) - float(ph[support].sum()))
-        row_a = np.zeros(2 * n)
-        row_a[[n + j for j in support]] = 1.0
-        rows.append(row_a)
-        rhs.append(float(table.demand_auto[i]) - float(pa[support].sum()))
+    # the support: used paths, grouped by OD pair; each group's first is its reference
+    support = np.nonzero((z.reshape(2, n) > 0.0).any(axis=0))[0]
+    owner = np.nonzero(table.valid[:n_od])[0][support]  # the OD pair of each path
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    ref = support[first][np.cumsum(first) - 1][~first]
+    others = support[~first]
+    # equal-cost rows: d(cost(j) - cost(ref))/dz per support column, per class
+    diff = (incidence[:, others] - incidence[:, ref]).T
+    inc_support = incidence[:, support]
+    member = (owner == owner[first][:, None]).astype(float)
+    zeros = np.zeros_like(member)
+    matrix = np.vstack([np.hstack([(diff * dcdx) @ inc_support, (diff * dcdy) @ inc_support]),
+                        np.hstack([member, zeros]), np.hstack([zeros, member])])
+    groups = np.r_[owner[first], owner[first] + n_od]
+    # a path off the support carries no flow, so a block's sum is its support's
+    sums = np.where(table.valid, z[table.columns], 0.0).sum(axis=1)
+    rhs = np.r_[cp[ref] - cp[others], table.totals[groups] - sums[groups]]
+    # per OD pair: its equal-cost rows, then its human and its auto demand row
+    order = np.argsort(np.r_[3 * owner[~first], 3 * owner[first] + 1, 3 * owner[first] + 2],
+                       kind="stable")
     try:
-        step, *_ = np.linalg.lstsq(np.array(rows)[:, mask], np.array(rhs), rcond=None)
+        step, *_ = np.linalg.lstsq(matrix[order], rhs[order], rcond=None)
     except np.linalg.LinAlgError:
-        step = None
-    if step is not None:
-        full = np.zeros(2 * n)
-        full[mask] = step
-        dh, da = full[:n], full[n:]
-        for p, d in ((ph, dh), (pa, da)):
-            d[(p <= 0.0) & (d < 0.0)] = 0.0
-        damping = 1.0
-        for p, d in ((ph, dh), (pa, da)):
-            neg = d < 0.0
-            if neg.any():
-                damping = min(damping, float(np.min(0.95 * p[neg] / -d[neg])))
+        pass
+    else:
+        d = np.zeros(2 * n)
+        d[np.r_[support, support + n]] = step
+        d[(z <= 0.0) & (d < 0.0)] = 0.0
+        neg = d < 0.0
+        damping = min(1.0, float(np.min(0.95 * z[neg] / -d[neg]))) if neg.any() else 1.0
         if np.isfinite(damping) and damping > 0.0:
-            ph = np.maximum(ph + damping * dh, 0.0)
-            pa = np.maximum(pa + damping * da, 0.0)
+            z = np.maximum(z + damping * d, 0.0)
     # Newton preserves the demand totals only to first order; restore exactly
-    for i, blk in enumerate(table.blocks):
-        for p, demand in ((ph, float(table.demand_human[i])),
-                          (pa, float(table.demand_auto[i]))):
-            total = float(p[blk].sum())
-            if total > 0.0:
-                p[blk] *= demand / total
-            elif demand > 0.0:
-                p[blk.start] = demand
-    return ph, pa
+    sums = np.where(table.valid, z[table.columns], 0.0).sum(axis=1)
+    z *= np.repeat(np.divide(table.totals, sums, out=np.ones_like(sums), where=sums > 0.0),
+                   table.valid.sum(axis=1))
+    empty = (sums <= 0.0) & (table.totals > 0.0)
+    z[table.columns[empty, 0]] = table.totals[empty]
+    return z
 
 
 def wardrop_gap(net: Network, pf: PathFlowAssignment) -> tuple[float, float]:
@@ -202,7 +184,7 @@ def wardrop_gap(net: Network, pf: PathFlowAssignment) -> tuple[float, float]:
     exactly at equilibrium."""
     validate_assignment(net, pf)
     table = path_table(net)
-    gap_rel, gap_abs, _, _ = _gap_at(table, _net_arrays(net), *table.arrays(pf))
+    gap_rel, gap_abs, _ = _gap_at(table, _net_arrays(net), table.arrays(pf))
     return gap_abs, gap_rel
 
 
@@ -226,37 +208,38 @@ def solve_equilibrium(
     table = path_table(net)
     params = _net_arrays(net)
     if start is None:
-        ph, pa = table.uniform_start()
+        z = table.uniform_start()
     elif isinstance(start, str):
         if start != "random":
             raise errors.InvalidParameterError(f"unknown start {start!r}")
-        ph, pa = table.random_start(np.random.default_rng(cfg.seed))
+        z = table.random_start(np.random.default_rng(cfg.seed))
     else:
         validate_assignment(net, start)
-        ph, pa = table.arrays(start)
+        z = table.arrays(start)
 
     best_gap = np.inf
-    best = (ph.copy(), pa.copy())
+    best = z.copy()
     prev_gap = np.inf
     denom = 1.0
     averaging_steps = 0
     for it in range(cfg.max_iterations + 1):
-        gap_rel, _, c_road, aon = _gap_at(table, params, ph, pa)
+        gap_rel, _, aon = _gap_at(table, params, z)
+        cheapest = np.r_[aon, aon + table.total_paths]  # per block of the layout
         if on_iterate is not None:
-            on_iterate(it, table.assignment(ph, pa), gap_rel)
+            on_iterate(it, table.assignment(z), gap_rel)
         if gap_rel < best_gap:
             best_gap = gap_rel
-            best = (ph.copy(), pa.copy())
+            best = z.copy()
         if gap_rel <= cfg.gap_tolerance:
-            return _result(table, ph, pa, gap_rel, it, True)
+            return _result(table, z, gap_rel, it, True)
         if it == cfg.max_iterations:
             break
 
         if gap_rel <= 1e-2:
             # equalization regime: a Newton step, kept only if the gap drops
-            cand_h, cand_a = _newton_step(table, params, c_road, ph, pa)
-            if _gap_at(table, params, cand_h, cand_a)[0] < gap_rel:
-                ph, pa = cand_h, cand_a
+            candidate = _newton_step(table, params, cheapest, z)
+            if _gap_at(table, params, candidate)[0] < gap_rel:
+                z = candidate
                 continue
 
         if cfg.step_rule is StepRule.MSA:
@@ -266,27 +249,25 @@ def solve_equilibrium(
             if averaging_steps > 0:
                 denom += 2.0 if gap_rel > prev_gap * (1.0 - 1e-9) else 0.05
             phi = 1.0 / denom
-        target = np.zeros((2, len(ph)))
-        target[:, aon] = table.demand_human, table.demand_auto
-        ph += phi * (target[0] - ph)
-        pa += phi * (target[1] - pa)
+        target = np.zeros_like(z)
+        target[cheapest] = table.totals
+        z += phi * (target - z)
         prev_gap = gap_rel
         averaging_steps += 1
         if it % 5000 == 0 and it > 0:
             log.debug("iteration %d: relative gap %.3e", it, gap_rel)
 
-    ph, pa = best
     log.info("not converged after %d iterations, best gap %.3e",
              cfg.max_iterations, best_gap)
-    return _result(table, ph, pa, best_gap, cfg.max_iterations, False)
+    return _result(table, best, best_gap, cfg.max_iterations, False)
 
 
-def _result(table, ph, pa, gap_rel, iterations, converged) -> SolveResult:
-    z = FlowVector.from_xy(*table.link_flows(ph, pa))
+def _result(table, z, gap_rel, iterations, converged) -> SolveResult:
+    link = FlowVector.from_xy(*table.link_flows(z))
     return SolveResult(
-        flows=table.assignment(ph, pa),
-        link_flows=z,
-        social_cost=social_cost(table.net, z),
+        flows=table.assignment(z),
+        link_flows=link,
+        social_cost=social_cost(table.net, link),
         relative_gap=float(gap_rel),
         iterations=iterations,
         converged=converged,

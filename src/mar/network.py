@@ -5,8 +5,10 @@ human-driven and autonomous flow demands. Routings are represented two ways:
 
 * link flows: one (human, autonomous) pair per road, interleaved in a single
   vector ``[x_1, y_1, x_2, y_2, ...]`` of length ``2N``;
-* path flows: per OD pair and vehicle class, flow on each enumerated simple
-  path.
+* path flows: one stacked array ``[human | auto]`` of length ``2P`` over the
+  ``P`` enumerated simple paths, laid out by ``PathTable``. Every solver
+  keeps path flows this way; ``PathFlowAssignment`` (per OD pair and class, a
+  dict from path to flow) exists only at the API edge.
 
 The path problem has a topology part and a demand part. The topology (the
 enumerated paths, the incidence matrix and the block layout of a path-flow
@@ -215,6 +217,8 @@ class Network:
 
     def road_position(self, rid: int) -> int:
         """Index of a road in the link-flow ordering."""
+        if rid not in self._road_index:
+            raise errors.InvalidParameterError(f"unknown road id {rid}")
         return self._road_index[rid]
 
 
@@ -519,11 +523,13 @@ class PathTable:
 
     The incidence matrix has one row per road and one column per path;
     ``blocks[i]`` is the column range of OD pair ``i``. Both vehicle classes
-    share the same path set. A stacked path-flow row ``[human | auto]`` has
-    one simplex block per OD pair and class, human blocks first, padded to a
-    common width: ``columns[b, j]`` is the row column of path j of block b
-    where ``valid[b, j]`` (elsewhere the block's first column), and
-    ``totals[b]`` is the block's demand.
+    share the same path set. Path flows live in one stacked array ``z`` of
+    length ``2 * total_paths``, human flows then autonomous flows, the one
+    path-flow layout of every solver. It has one simplex block per OD pair
+    and class, human blocks first, padded to a common width: ``columns[b, j]``
+    is the column of ``z`` holding path j of block b where ``valid[b, j]``
+    (elsewhere the block's first column), and ``totals[b]`` is the block's
+    demand.
     """
 
     net: Network
@@ -540,43 +546,46 @@ class PathTable:
     def total_paths(self) -> int:
         return self.incidence.shape[1]
 
-    def link_flows(self, ph: np.ndarray, pa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.incidence @ ph, self.incidence @ pa
+    def link_flows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-road human and autonomous link flows of stacked path flows."""
+        human, auto = z.reshape(2, self.total_paths)
+        return self.incidence @ human, self.incidence @ auto
 
-    def uniform_start(self) -> tuple[np.ndarray, np.ndarray]:
+    def uniform_start(self) -> np.ndarray:
         """Each class's demand split evenly over its OD's paths."""
         counts = self.valid.sum(axis=1)
-        z = np.repeat(self.totals / counts, counts)
-        return z[:self.total_paths], z[self.total_paths:]
+        return np.repeat(self.totals / counts, counts)
 
-    def random_start(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        # one block at a time, in this order, so a seed keeps its draws
-        ph = np.zeros(self.total_paths)
-        pa = np.zeros(self.total_paths)
-        for i, blk in enumerate(self.blocks):
-            m = blk.stop - blk.start
-            ph[blk] = self.demand_human[i] * rng.dirichlet(np.ones(m))
-            pa[blk] = self.demand_auto[i] * rng.dirichlet(np.ones(m))
-        return ph, pa
+    def random_start(self, rng: np.random.Generator) -> np.ndarray:
+        """Each block's demand split by a flat Dirichlet draw."""
+        z = np.zeros(2 * self.total_paths)
+        n_od = len(self.blocks)
+        for i in range(n_od):
+            # human block i, then auto block i, so a seed keeps its draws
+            for b in (i, n_od + i):
+                cols = self.columns[b, self.valid[b]]
+                z[cols] = self.totals[b] * rng.dirichlet(np.ones(cols.size))
+        return z
 
-    def assignment(self, ph: np.ndarray, pa: np.ndarray) -> PathFlowAssignment:
-        def per_od(p):
-            return tuple(dict(zip(od_paths, p[blk].tolist()))
-                         for od_paths, blk in zip(self.paths, self.blocks))
-        return PathFlowAssignment(human=per_od(ph), auto=per_od(pa))
+    def assignment(self, z: np.ndarray) -> PathFlowAssignment:
+        n_od = len(self.blocks)
+        flows = tuple(dict(zip(self.paths[b % n_od], z[self.columns[b, self.valid[b]]].tolist()))
+                      for b in range(2 * n_od))
+        return PathFlowAssignment(human=flows[:n_od], auto=flows[n_od:])
 
-    def arrays(self, pf: PathFlowAssignment) -> tuple[np.ndarray, np.ndarray]:
-        ph, pa = np.zeros((2, self.total_paths))
-        for i, blk in enumerate(self.blocks):
-            index = {p: blk.start + j for j, p in enumerate(self.paths[i])}
-            for source, dest in ((pf.human[i], ph), (pf.auto[i], pa)):
+    def arrays(self, pf: PathFlowAssignment) -> np.ndarray:
+        z = np.zeros(2 * self.total_paths)
+        n_od = len(self.blocks)
+        for i, od_paths in enumerate(self.paths):
+            for b, source in ((i, pf.human[i]), (n_od + i, pf.auto[i])):
+                index = dict(zip(od_paths, self.columns[b].tolist()))
                 for path, flow in source.items():
                     if path not in index:
                         raise errors.InvalidParameterError(
                             f"path {path} is not in the enumeration for OD {i}"
                         )
-                    dest[index[path]] = max(flow, 0.0)
-        return ph, pa
+                    z[index[path]] = max(flow, 0.0)
+        return z
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

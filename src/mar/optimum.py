@@ -14,6 +14,7 @@ equilibrium cost to it is a lower estimate of the true ratio.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,8 @@ _MAX_TRIES = 60
 _MIN_STEP = 1e-16
 #: Restart costs within this relative distance of the lowest one are tied.
 _TIE_RTOL = 1e-12
+#: Most grid points brute force visits: 3 paths per class at resolution 0.01.
+MAX_GRID_POINTS = 26_532_801
 
 
 @dataclass(frozen=True)
@@ -202,13 +205,12 @@ def solve_optimum(net: Network, cfg: OptimumConfig | None = None) -> SolveResult
     rng = np.random.default_rng(cfg.seed)
     starts = [table.uniform_start()]
     starts += [table.random_start(rng) for _ in range(1, cfg.restarts)]
-    z = np.array([np.concatenate(start) for start in starts])
+    z = np.array(starts)
     z, cost, stat, iterations = _descend(table, params, z, cfg)
     for r in range(cfg.restarts):
         log.debug("restart %d: cost %.6g, stationarity %.2e", r, cost[r], stat[r])
     r = _winner(cost)
-    n = table.total_paths
-    return _result(table, z[r, :n], z[r, n:], float(stat[r]), int(iterations[r]),
+    return _result(table, z[r], float(stat[r]), int(iterations[r]),
                    bool(stat[r] <= _STATIONARITY_TOL))
 
 
@@ -228,7 +230,8 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     """Exhaustive grid search over the product of path-flow simplices.
 
     Guarded: refuses instances whose total path count summed over OD-class
-    pairs exceeds 6. Ties break lexicographically (first grid point in
+    pairs exceeds 6, or whose grid has more than ``MAX_GRID_POINTS`` points,
+    with ``TooLargeError``. Ties break lexicographically (first grid point in
     enumeration order wins). The result is within the grid's modulus of
     continuity of the true optimum, see ``grid_error_bound``.
     """
@@ -241,15 +244,20 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
             f"{2 * n} paths across OD-class pairs exceeds the brute-force guard of 6"
         )
     params = _net_arrays(net)
-    # one grid per block over its scaled simplex, padded to the layout's width
     steps = max(1, round(1.0 / resolution))
+    counts = table.valid.sum(axis=1).tolist()
+    sizes = [math.comb(steps + m - 1, m - 1) if demand > 0 else 1
+             for m, demand in zip(counts, table.totals.tolist())]
+    n_points = math.prod(sizes)
+    if n_points > MAX_GRID_POINTS:
+        raise errors.TooLargeError(f"the grid at resolution {resolution} has {n_points} points, "
+                                   f"past the brute-force cap of {MAX_GRID_POINTS}")
+    # one grid per block over its scaled simplex, padded to the layout's width
     grids = [_compositions(steps, m) * (demand / steps) if demand > 0 else np.zeros((1, m))
-             for m, demand in zip(table.valid.sum(axis=1), table.totals)]
-    sizes = [len(g) for g in grids]
+             for m, demand in zip(counts, table.totals)]
     first_rows = np.cumsum([0] + sizes[:-1])
     width = table.valid.shape[1]
     stacked = np.vstack([np.pad(g, ((0, 0), (0, width - g.shape[1]))) for g in grids])
-    n_points = int(np.prod(sizes))
     best_cost = np.inf
     best_point = None
     chunk = 200_000
@@ -262,7 +270,7 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
         if costs[j] < best_cost:
             best_cost = float(costs[j])
             best_point = pts[j].copy()
-    return _result(table, best_point[:n], best_point[n:], 0.0, n_points, True)
+    return _result(table, best_point, 0.0, n_points, True)
 
 
 def grid_error_bound(net: Network, resolution: float) -> float:

@@ -56,6 +56,21 @@ def grid_net(k: int, rng: np.random.Generator | None = None) -> mar.Network:
     return mar.Network(tuple(n for row in name for n in row), roads, ods)
 
 
+def zero_demand_beside_asymmetric() -> mar.Network:
+    """An asymmetric two-road OD pair (the designated instance's roads) beside
+    an OD pair of two default roads that carries no demand."""
+    roads = (
+        mar.Road(rid=1, tail="s0", head="t0", length=1.0, headway=2.0,
+                 platoon_headway=1.0, freeflow=1.0, rho=1.0, sigma=1.0),
+        mar.Road(rid=2, tail="s0", head="t0", length=1.0, headway=2.0,
+                 platoon_headway=2.0, freeflow=1.0, rho=1.0, sigma=1.0),
+        mar.Road(rid=3, tail="s1", head="t1"),
+        mar.Road(rid=4, tail="s1", head="t1"),
+    )
+    return mar.Network(("s0", "t0", "s1", "t1"), roads,
+                       (mar.ODPair("s0", "t0", 1.0, 1.0), mar.ODPair("s1", "t1", 0.0, 0.0)))
+
+
 def symmetric_pair(sigma=1.0, rho=1.0, freeflow=1.0, headway=1.0,
                    demand_human=1.0, demand_auto=1.0) -> mar.Network:
     spec = dict(length=1.0, headway=headway, platoon_headway=headway,
@@ -142,8 +157,7 @@ def random_network(rng: np.random.Generator, sigma_pool=(1.0, 2.0, 4.0),
 
 def random_assignment(net: mar.Network, rng: np.random.Generator) -> mar.PathFlowAssignment:
     table = mar.path_table(net)
-    ph, pa = table.random_start(rng)
-    return table.assignment(ph, pa)
+    return table.assignment(table.random_start(rng))
 
 
 def random_flow_pair(rng: np.random.Generator, scale=4.0) -> tuple[float, float]:

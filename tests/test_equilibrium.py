@@ -5,8 +5,8 @@ import pytest
 
 import mar
 from mar import errors
-from mar.costs import _net_arrays
-from mar.equilibrium import _gap_at
+from mar.costs import _latencies, _latency_partials, _net_arrays
+from mar.equilibrium import _gap_at, _newton_step
 
 from factories import (
     designated_min_gap_grid,
@@ -15,7 +15,9 @@ from factories import (
     parallel_net,
     random_assignment,
     random_network,
+    separate_parallel,
     symmetric_pair,
+    zero_demand_beside_asymmetric,
 )
 
 
@@ -174,20 +176,114 @@ class TestSolveEquilibrium:
 
     def test_zero_demand_od_pair_beside_asymmetric_one(self):
         # the equalization step must skip an OD block that carries no flow
-        roads = (
-            mar.Road(rid=1, tail="s0", head="t0", length=1.0, headway=2.0,
-                     platoon_headway=1.0, freeflow=1.0, rho=1.0, sigma=1.0),
-            mar.Road(rid=2, tail="s0", head="t0", length=1.0, headway=2.0,
-                     platoon_headway=2.0, freeflow=1.0, rho=1.0, sigma=1.0),
-            mar.Road(rid=3, tail="s1", head="t1"),
-            mar.Road(rid=4, tail="s1", head="t1"),
-        )
-        net = mar.Network(("s0", "t0", "s1", "t1"), roads,
-                          (mar.ODPair("s0", "t0", 1.0, 1.0), mar.ODPair("s1", "t1", 0.0, 0.0)))
+        net = zero_demand_beside_asymmetric()
         res = mar.solve_equilibrium(net, mar.EquilibriumConfig(gap_tolerance=1e-9))
         assert res.converged and res.relative_gap <= 1e-9, res.relative_gap
         assert sum(res.flows.human[1].values()) == 0.0
         assert sum(res.flows.auto[1].values()) == 0.0
+
+
+def reference_newton_step(table, params, c_road, ph, pa):
+    """The Newton step as a loop over OD pairs and paths, one class at a time."""
+    ph = ph.copy()
+    pa = pa.copy()
+    n = table.total_paths
+    incidence = table.incidence
+    cp = incidence.T @ c_road
+    for i, blk in enumerate(table.blocks):
+        jmin = blk.start + int(np.argmin(cp[blk]))
+        for p, demand in ((ph, table.demand_human[i]), (pa, table.demand_auto[i])):
+            for j in range(blk.start, blk.stop):
+                if j != jmin and p[j] < 1e-3 * max(float(demand), 1e-300):
+                    p[jmin] += p[j]
+                    p[j] = 0.0
+    c, dcdx, dcdy = _latency_partials(params, incidence @ ph, incidence @ pa)
+    cp = incidence.T @ c
+    rows = []
+    rhs = []
+    mask = np.zeros(2 * n, dtype=bool)
+    for i, blk in enumerate(table.blocks):
+        support = [j for j in range(blk.start, blk.stop) if ph[j] + pa[j] > 0.0]
+        if not support:
+            continue
+        mask[support] = True
+        mask[[n + j for j in support]] = True
+        ref = support[0]
+        for j in support[1:]:
+            diff = incidence[:, j] - incidence[:, ref]
+            row = np.empty(2 * n)
+            row[:n] = (diff * dcdx) @ incidence
+            row[n:] = (diff * dcdy) @ incidence
+            rows.append(row)
+            rhs.append(cp[ref] - cp[j])
+        row_h = np.zeros(2 * n)
+        row_h[support] = 1.0
+        rows.append(row_h)
+        rhs.append(float(table.demand_human[i]) - float(ph[support].sum()))
+        row_a = np.zeros(2 * n)
+        row_a[[n + j for j in support]] = 1.0
+        rows.append(row_a)
+        rhs.append(float(table.demand_auto[i]) - float(pa[support].sum()))
+    try:
+        step, *_ = np.linalg.lstsq(np.array(rows)[:, mask], np.array(rhs), rcond=None)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is not None:
+        full = np.zeros(2 * n)
+        full[mask] = step
+        dh, da = full[:n], full[n:]
+        for p, d in ((ph, dh), (pa, da)):
+            d[(p <= 0.0) & (d < 0.0)] = 0.0
+        damping = 1.0
+        for p, d in ((ph, dh), (pa, da)):
+            neg = d < 0.0
+            if neg.any():
+                damping = min(damping, float(np.min(0.95 * p[neg] / -d[neg])))
+        if np.isfinite(damping) and damping > 0.0:
+            ph = np.maximum(ph + damping * dh, 0.0)
+            pa = np.maximum(pa + damping * da, 0.0)
+    for i, blk in enumerate(table.blocks):
+        for p, demand in ((ph, float(table.demand_human[i])),
+                          (pa, float(table.demand_auto[i]))):
+            total = float(p[blk].sum())
+            if total > 0.0:
+                p[blk] *= demand / total
+            elif demand > 0.0:
+                p[blk.start] = demand
+    return np.concatenate([ph, pa])
+
+
+class TestNewtonStep:
+    @staticmethod
+    def steps(net, rng, points):
+        """(layout step, reference step) at random points where some flows
+        are shrunk under 1e-3 of their demand and some are zero."""
+        table = mar.path_table(net)
+        params = _net_arrays(net)
+        n = table.total_paths
+        for _ in range(points):
+            z = table.random_start(rng)
+            shrink = rng.random(z.size) < 0.4
+            z[shrink] *= rng.choice([0.0, 1e-5], size=shrink.sum())
+            _, _, aon = _gap_at(table, params, z)
+            c_road = _latencies(params, *table.link_flows(z))
+            yield (_newton_step(table, params, np.r_[aon, aon + n], z),
+                   reference_newton_step(table, params, c_road, z[:n], z[n:]))
+
+    def test_bit_identical_to_the_loop_on_small_networks(self, rng):
+        gen = np.random.default_rng(987654321)
+        nets = [random_network(gen) for _ in range(100)]
+        nets += [separate_parallel([3, 2, 2], [(1.0, 0.5), (0.0, 0.0), (0.4, 0.9)]),
+                 separate_parallel([2, 3], [(1.2, 0.0), (0.0, 0.8)]),
+                 zero_demand_beside_asymmetric()]
+        for net in nets:
+            for got, expect in self.steps(net, rng, 3):
+                np.testing.assert_array_equal(got, expect)
+
+    def test_agrees_with_the_loop_on_a_grid(self, rng):
+        # sums over blocks of 8 or more paths may group their terms apart
+        for got, expect in self.steps(grid_net(4), rng, 4):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():
@@ -200,7 +296,7 @@ def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():
                       (mar.ODPair("s0", "t0", 1.0, 1.0), mar.ODPair("s1", "t1", 1.0, 0.5)))
     table = mar.path_table(net)
     assert table.valid.sum(axis=1).tolist() == [3, 5, 3, 5]
-    _, _, _, aon = _gap_at(table, _net_arrays(net), *table.uniform_start())
+    _, _, aon = _gap_at(table, _net_arrays(net), table.uniform_start())
     assert aon.tolist() == [1, 3]
 
 
@@ -248,7 +344,7 @@ class TestViResidual:
                         ph[j] = table.demand_human[i]
                     for i, j in enumerate(asel):
                         pa[j] = table.demand_auto[i]
-                    vert = mar.to_link_flows(net, table.assignment(ph, pa))
+                    vert = mar.to_link_flows(net, table.assignment(np.concatenate([ph, pa])))
                     worst = max(worst, mar.vi_residual(net, z, vert))
             # the worst vertex residual is exactly the absolute gap
             assert worst == pytest.approx(gap_abs, abs=1e-9)

@@ -171,9 +171,25 @@ class TestPathTable:
                 m = blk.stop - blk.start
                 ph[blk] = table.demand_human[i] / m
                 pa[blk] = table.demand_auto[i] / m
-            uniform = table.uniform_start()
-            np.testing.assert_array_equal(uniform[0], ph)
-            np.testing.assert_array_equal(uniform[1], pa)
+            np.testing.assert_array_equal(table.uniform_start(), np.concatenate([ph, pa]))
+
+    def test_random_start_keeps_the_per_block_draw_order(self, rng):
+        # human block i, then auto block i, each a flat Dirichlet draw scaled
+        # by its demand; two calls in a row must continue the same stream
+        nets = [separate_parallel([1, 4, 2, 5, 1], [(1.5, 0.0), (0.0, 1.2), (2.0, 0.3),
+                                                    (0.7, 0.0), (0.0, 2.5)])]
+        nets += [random_network(rng) for _ in range(20)]
+        for seed, net in enumerate(nets):
+            table = mar.path_table(net)
+            draws, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                ph = np.zeros(table.total_paths)
+                pa = np.zeros(table.total_paths)
+                for i, blk in enumerate(table.blocks):
+                    m = blk.stop - blk.start
+                    ph[blk] = table.demand_human[i] * reference.dirichlet(np.ones(m))
+                    pa[blk] = table.demand_auto[i] * reference.dirichlet(np.ones(m))
+                np.testing.assert_array_equal(table.random_start(draws), np.concatenate([ph, pa]))
 
     def test_six_by_six_grid_fails_fast(self):
         # 1,262,816 simple corner-to-corner paths per OD pair
@@ -225,6 +241,15 @@ class TestToLinkFlows:
         z2 = mar.to_link_flows(net, pf2).interleaved
         zm = mar.to_link_flows(net, mix).interleaved
         assert np.allclose(zm, lam * z1 + (1 - lam) * z2, atol=1e-12)
+
+    def test_bad_paths_and_flows_raise_typed_errors(self):
+        net = parallel_net([{}, {}])
+        unknown = mar.PathFlowAssignment(human=({(99,): 1.0},), auto=({(1,): 1.0},))
+        with pytest.raises(errors.InvalidParameterError, match="unknown road id 99"):
+            mar.to_link_flows(net, unknown)
+        negative = mar.PathFlowAssignment(human=({(1,): 1.5, (2,): -0.5},), auto=({(1,): 1.0},))
+        with pytest.raises(errors.NegativeFlowError):
+            mar.to_link_flows(net, negative)
 
 
 class TestValidateAssignment:

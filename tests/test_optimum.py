@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestBatchedDescent:
                            demand_human=3.0, demand_auto=2.0)
         table = mar.path_table(net)
         params = _net_arrays(net)
-        z = np.array([np.concatenate(table.random_start(rng)) for _ in range(24)])
+        z = np.array([table.random_start(rng) for _ in range(24)])
         cost, grad = _cost_and_grad(table, params, z)
         grad[::3] *= -1.0  # ascent directions exhaust the tries
         step = 10.0 ** rng.uniform(-16, 3, size=len(z))
@@ -139,7 +141,7 @@ class TestBatchedDescent:
         net = mar.demo_scenario("monotonicity").network
         table = mar.path_table(net)
         params = _net_arrays(net)
-        start = np.array([np.concatenate(table.random_start(rng)) for _ in range(6)])
+        start = np.array([table.random_start(rng) for _ in range(6)])
         demands = np.concatenate([table.demand_human, table.demand_auto])
         points, costs = [start], [_cost_and_grad(table, params, start, want_grad=False)[0]]
         for k in range(1, 100):
@@ -169,7 +171,7 @@ class TestBatchedDescent:
         for _ in range(6):
             net = random_network(rng)
             table = mar.path_table(net)
-            z = np.array([np.concatenate(table.random_start(rng)) for _ in range(cfg.restarts)])
+            z = np.array([table.random_start(rng) for _ in range(cfg.restarts)])
             z, cost, _, iterations = _descend(table, _net_arrays(net), z, cfg)
             demands = np.concatenate([table.demand_human, table.demand_auto])
             sums = np.array([[row[blk].sum() for blk in class_blocks(table)] for row in z])
@@ -197,6 +199,16 @@ class TestBruteForceOptimum:
         net = parallel_net([dict(sigma=1.0)] * 4)
         with pytest.raises(errors.TooLargeError):
             mar.brute_force_optimum(net, 0.1)
+
+    def test_grid_point_cap_falls_back_to_local_search(self):
+        # 3 roads at resolution 1e-3: 501,501 points per class, 2.5e11 in all
+        net = parallel_net([dict(sigma=1.0)] * 3)
+        started = time.perf_counter()
+        with pytest.raises(errors.TooLargeError, match="251503253001 points"):
+            mar.brute_force_optimum(net, 1e-3)
+        assert time.perf_counter() - started < 1.0
+        cfg = mar.OptimumConfig(restarts=4, grid_resolution=1e-3)
+        assert mar.empirical_poa(net, opt_cfg=cfg).opt_oracle == "local-search"
 
     def test_oracle_within_lipschitz_bound_of_solver(self, rng):
         checked = 0

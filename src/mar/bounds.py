@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .costs import _spacing, capacity, link_cost
+from .costs import _arrays_for, _check_flow_pair, _latencies, _spacing, capacity
 from .equilibrium import EquilibriumConfig, SolveResult, solve_equilibrium
 from .network import CapacityModel, Network, ODPair, Road, path_table
 from .optimum import OptimumConfig, brute_force_optimum, solve_optimum
@@ -223,13 +223,10 @@ def beta_road_closed_form(road: Road, v: float, w: float, sigma_use: float) -> f
     return xi(sigma_use) * (road.length / capacity(road, v, w)) / small
 
 
-def _beta_expression(road: Road, v: float, w: float, sigma_use: float, x, y):
-    """The deviation-gain expression maximized by beta, vectorized over (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t_q = v + w
+def _beta_expression(road: Road, t_q: float, m_q: float, sigma_use: float, x, y):
+    """The deviation-gain expression maximized by beta, vectorized over (x, y),
+    against a reference of total flow ``t_q`` and capacity ``m_q``."""
     t_z = x + y
-    m_q = capacity(road, v, w)
     # capacity at (x, y), with the zero-flow convention alpha = 0
     safe_t = np.where(t_z > 0, t_z, 1.0)
     m_z = road.length / _spacing(road, np.where(t_z > 0, y / safe_t, 0.0))
@@ -237,51 +234,33 @@ def _beta_expression(road: Road, v: float, w: float, sigma_use: float, x, y):
     return (t_z / t_q) * (1.0 - ratio ** sigma_use)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-    return max(fc, fd)
-
-
 def beta_road_numeric(road: Road, v: float, w: float, sigma_use: float) -> float:
     """Numeric maximization of the per-road beta expression over deviations.
 
-    Searches both axes (where the analytic maximizer is known to lie) with a
-    dense grid refined by golden-section search, plus a coarse interior grid
-    as a defensive check against the axis argument. Agrees with
+    Searches both axes (where the analytic maximizer is known to lie) as two
+    lanes of one array: a 1,201-point grid, then three zooms that each lay
+    1,201 points between the neighbours of each lane's best point, plus a
+    coarse interior grid as a defensive check against the axis argument.
+    Reads the capacity rule only, never the closed form, and agrees with
     ``beta_road_closed_form`` to high relative accuracy.
     """
     _check_reference(road, v, w)
-    bound = 3.0 * (v + w) * road.headway_ratio
-    grid = np.linspace(0.0, bound, 1201)
+    t_q = v + w
+    m_q = capacity(road, v, w)
+    bound = 3.0 * t_q * road.headway_ratio
+    human = np.array([[1.0], [0.0]])  # lane 0 deviates along x, lane 1 along y
+    lanes = np.arange(2)
+    grid = np.linspace(0.0, np.full(2, bound), 1201, axis=1)
     best = 0.0
-    zeros = np.zeros_like(grid)
-    for values, fun in (
-        (_beta_expression(road, v, w, sigma_use, grid, zeros),
-         lambda t: float(_beta_expression(road, v, w, sigma_use, t, 0.0))),
-        (_beta_expression(road, v, w, sigma_use, zeros, grid),
-         lambda t: float(_beta_expression(road, v, w, sigma_use, 0.0, t))),
-    ):
-        j = int(np.argmax(values))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-        best = max(best, float(values[j]), _golden_max(fun, lo, hi))
+    for _ in range(4):  # the grid, then three zooms (the last zoomed grid goes unused)
+        values = _beta_expression(road, t_q, m_q, sigma_use, human * grid, (1.0 - human) * grid)
+        best = max(best, float(values.max()))
+        j = np.argmax(values, axis=1)
+        grid = np.linspace(grid[lanes, np.maximum(j - 1, 0)],
+                           grid[lanes, np.minimum(j + 1, grid.shape[1] - 1)], 1201, axis=1)
     interior = np.linspace(0.0, bound, 41)
     gx, gy = np.meshgrid(interior, interior)
-    best = max(best, float(np.max(_beta_expression(road, v, w, sigma_use, gx, gy))))
-    return best
+    return max(best, float(np.max(_beta_expression(road, t_q, m_q, sigma_use, gx, gy))))
 
 
 def beta_network_estimate(net: Network, samples: int = 256, seed: int = 0) -> float:
@@ -318,9 +297,7 @@ def verify_lemma_agg_poa_ratio(road: Road, x_eq: float, y_eq: float,
         raise errors.InvalidOrderError(f"expected f <= g, got ({f}, {g})")
     if g <= 0:
         raise errors.InvalidParameterError("g must be > 0")
-    agg = aggregate_cost(road, x_eq, y_eq)
-    c_f = agg(f)
-    c_g = agg(g)
+    c_f, c_g = aggregate_cost(road, x_eq, y_eq)(np.array([f, g])).tolist()
     if c_g <= 0:
         return True
     return c_f / c_g + 1e-12 >= (f / g) ** road.sigma
@@ -334,11 +311,12 @@ def verify_lemma_agg_opt(road: Road, x: float, y: float) -> bool:
     """
     if not road.is_bpr:
         raise errors.UnsupportedCostKindError("verify_lemma_agg_opt requires a BPR road")
-    if x < 0 or y < 0:
-        raise errors.NegativeFlowError("flows must be >= 0")
-    k = road.headway_ratio
-    lhs = k ** road.sigma * link_cost(road, x, y)
-    rhs = max(link_cost(road, x + y, 0.0), link_cost(road, 0.0, x + y))
+    _check_flow_pair(x, y)
+    t = x + y
+    mixed, human, auto = _latencies(_arrays_for((road,)), np.array([x, t, 0.0]),
+                                    np.array([y, 0.0, t])).tolist()
+    lhs = road.headway_ratio ** road.sigma * mixed
+    rhs = max(human, auto)
     return lhs >= rhs - 1e-12 * (1.0 + abs(rhs))
 
 

@@ -13,6 +13,7 @@ equilibrium cost to it is a lower estimate of the true ratio.
 
 from __future__ import annotations
 
+import decimal
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -243,6 +244,9 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
         raise errors.TooLargeError(
             f"{2 * n} paths across OD-class pairs exceeds the brute-force guard of 6"
         )
+    if not math.isfinite(1.0 / resolution):
+        raise errors.TooLargeError(f"resolution {resolution} is too fine: 1/resolution "
+                                   f"is not finite")
     params = _net_arrays(net)
     steps = max(1, round(1.0 / resolution))
     counts = table.valid.sum(axis=1).tolist()
@@ -250,7 +254,8 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
              for m, demand in zip(counts, table.totals.tolist())]
     n_points = math.prod(sizes)
     if n_points > MAX_GRID_POINTS:
-        raise errors.TooLargeError(f"the grid at resolution {resolution} has {n_points} points, "
+        raise errors.TooLargeError(f"the grid at resolution {resolution} has "
+                                   f"{decimal.Decimal(n_points):.3e} points, "
                                    f"past the brute-force cap of {MAX_GRID_POINTS}")
     # one grid per block over its scaled simplex, padded to the layout's width
     grids = [_compositions(steps, m) * (demand / steps) if demand > 0 else np.zeros((1, m))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import mar
 from mar import errors
 from mar.bounds import _best_optimum
+from mar.costs import _spacing, capacity
 
 from factories import grid_net, parallel_net, random_road, random_network, symmetric_pair
 
@@ -161,7 +164,82 @@ class TestAggregateCost:
             mar.aggregate_cost(road, 1.0, 1.0)
 
 
+def reference_beta_road_numeric(road, v, w, sigma_use):
+    """Reference for ``beta_road_numeric``'s grid zoom: a 1,201-point grid per
+    axis refined by a 90-step scalar golden-section search around each axis's
+    best grid point, plus the 41x41 interior grid."""
+    def gain(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        t_q = v + w
+        t_z = x + y
+        m_q = capacity(road, v, w)
+        safe_t = np.where(t_z > 0, t_z, 1.0)
+        m_z = road.length / _spacing(road, np.where(t_z > 0, y / safe_t, 0.0))
+        ratio = (m_q * t_z) / (m_z * t_q)
+        return (t_z / t_q) * (1.0 - ratio ** sigma_use)
+
+    def golden_max(fun, lo, hi, iters=90):
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = fun(c), fun(d)
+        for _ in range(iters):
+            if fc < fd:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = fun(d)
+            else:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = fun(c)
+        return max(fc, fd)
+
+    bound = 3.0 * (v + w) * road.headway_ratio
+    grid = np.linspace(0.0, bound, 1201)
+    best = 0.0
+    zeros = np.zeros_like(grid)
+    for values, fun in ((gain(grid, zeros), lambda t: float(gain(t, 0.0))),
+                        (gain(zeros, grid), lambda t: float(gain(0.0, t)))):
+        j = int(np.argmax(values))
+        lo = grid[max(j - 1, 0)]
+        hi = grid[min(j + 1, grid.size - 1)]
+        best = max(best, float(values[j]), golden_max(fun, lo, hi))
+    interior = np.linspace(0.0, bound, 41)
+    gx, gy = np.meshgrid(interior, interior)
+    return max(best, float(np.max(gain(gx, gy))))
+
+
 class TestBetaRoad:
+    def test_grid_zoom_matches_golden_section_reference(self, rng):
+        for _ in range(500):
+            road = random_road(rng, 1, "s", "t", monotone_envelope=False)
+            v, w = (float(t) for t in rng.uniform(0, 3, size=2))
+            sigma = float(rng.choice([1.0, 2.0, 4.0]))
+            expected = reference_beta_road_numeric(road, v, w, sigma)
+            assert mar.beta_road_numeric(road, v, w, sigma) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("road, v, w, sigma", [
+        (asym_road(2.0, 1.0), 0.0, 1.3, 1.0),
+        (asym_road(1.0, 3.0, model=mar.CapacityModel.MODEL2), 1.3, 0.0, 2.0),
+        (asym_road(2.0, 2.0, sigma=2.0), 1.3, 0.4, 2.0),
+        (asym_road(1.0, 2.5, model=mar.CapacityModel.MODEL2), 0.8, 1.1, 1.0),
+        (asym_road(1.0, 2.5, model=mar.CapacityModel.MODEL2), 0.8, 1.1, 4.0),
+        (asym_road(3.0, 1.0, sigma=4.0), 0.6, 2.2, 4.0),
+    ], ids=["human-ref-zero", "auto-ref-zero", "symmetric", "model2-non-monotone",
+            "model2-non-monotone-sigma4", "sigma4"])
+    def test_grid_zoom_matches_reference_on_edge_cases(self, road, v, w, sigma):
+        expected = reference_beta_road_numeric(road, v, w, sigma)
+        assert mar.beta_road_numeric(road, v, w, sigma) == pytest.approx(expected, rel=1e-12)
+        assert mar.beta_road_numeric(road, v, w, sigma) == pytest.approx(
+            mar.beta_road_closed_form(road, v, w, sigma), rel=1e-12)
+
+    def test_return_types(self):
+        road = asym_road(2.0, 1.0, model=mar.CapacityModel.MODEL2)
+        assert type(mar.beta_road_numeric(road, 1.0, 0.5, 2.0)) is float
+        assert type(mar.beta_road_closed_form(road, 1.0, 0.5, 2.0)) is float
+
     def test_symmetric_road_gives_xi(self):
         road = asym_road(2.0, 2.0)
         assert mar.beta_road_closed_form(road, 1.3, 0.4, 1.0) == pytest.approx(0.25, rel=1e-12)
@@ -240,6 +318,14 @@ class TestLemmaVerifiers:
         assert mar.verify_lemma_agg_opt(sym, 1.0, 2.0)
         road = asym_road(2.0, 1.0)
         assert mar.verify_lemma_agg_opt(road, 0.0, 0.0)
+
+    @pytest.mark.parametrize("model", list(mar.CapacityModel))
+    def test_verdicts_are_python_bools(self, model):
+        road = asym_road(2.0, 1.0, model=model)
+        assert type(mar.verify_lemma_agg_poa_ratio(road, 1.0, 0.5, 0.5, 2.0)) is bool
+        assert type(mar.verify_lemma_agg_poa_ratio(road, 1.0, 0.5, 0.0, 2.0)) is bool
+        assert type(mar.verify_lemma_agg_opt(road, 1.0, 0.5)) is bool
+        assert type(mar.verify_lemma_agg_opt(road, 0.0, 0.0)) is bool
 
     def test_agg_opt_random_sample(self, rng):
         for _ in range(500):

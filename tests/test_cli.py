@@ -407,6 +407,14 @@ class TestMainCli:
         assert err.startswith("error:")
         assert "cap" in err
 
+    def test_subnormal_grid_resolution_falls_back_to_local_search(self, tmp_path):
+        path = tmp_path / "poa.json"
+        path.write_text(scenario_text(experiment="poa", optimum={"grid_resolution": 5e-324}))
+        out = tmp_path / "poa.csv"
+        assert main(["poa", "--scenario", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["opt_oracle"] == "local-search"
+
     def test_byte_identical_reports(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(scenario_text(

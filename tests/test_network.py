@@ -328,6 +328,8 @@ _NON_FINITE_ENTRY_POINTS = {
         lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, v, 0.5, 1.0),
     "verify_lemma_agg_poa_ratio-f": lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, 1.0, v, 1.0),
     "verify_lemma_agg_poa_ratio-g": lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, 1.0, 0.5, v),
+    "verify_lemma_agg_opt-x": lambda v: mar.verify_lemma_agg_opt(_ROAD, v, 1.0),
+    "verify_lemma_agg_opt-y": lambda v: mar.verify_lemma_agg_opt(_ROAD, 1.0, v),
 }
 
 

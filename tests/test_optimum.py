@@ -204,10 +204,21 @@ class TestBruteForceOptimum:
         # 3 roads at resolution 1e-3: 501,501 points per class, 2.5e11 in all
         net = parallel_net([dict(sigma=1.0)] * 3)
         started = time.perf_counter()
-        with pytest.raises(errors.TooLargeError, match="251503253001 points"):
+        with pytest.raises(errors.TooLargeError, match=r"2\.515e\+11 points"):
             mar.brute_force_optimum(net, 1e-3)
         assert time.perf_counter() - started < 1.0
         cfg = mar.OptimumConfig(restarts=4, grid_resolution=1e-3)
+        assert mar.empirical_poa(net, opt_cfg=cfg).opt_oracle == "local-search"
+
+    def test_resolution_too_fine_to_count_falls_back_to_local_search(self):
+        net = parallel_net([dict(sigma=1.0)] * 2)
+        # 1/5e-324 overflows to inf; 1e-300 gives about 1e300 points per class
+        with pytest.raises(errors.TooLargeError, match="not finite"):
+            mar.brute_force_optimum(net, 5e-324)
+        with pytest.raises(errors.TooLargeError, match=r"has 1\.000e\+600 points") as caught:
+            mar.brute_force_optimum(net, 1e-300)
+        assert len(str(caught.value)) < 120
+        cfg = mar.OptimumConfig(restarts=2, grid_resolution=5e-324)
         assert mar.empirical_poa(net, opt_cfg=cfg).opt_oracle == "local-search"
 
     def test_oracle_within_lipschitz_bound_of_solver(self, rng):

@@ -54,7 +54,6 @@ from .network import (
     PathFlowAssignment,
     PathTable,
     Road,
-    build_network,
     check_feasible,
     enumerate_paths,
     path_table,
@@ -75,6 +74,7 @@ from .scenario import (
     Scenario,
     SweepSpec,
     demo_scenario,
+    network_from_mapping as build_network,
     parse_scenario,
 )
 from . import errors

@@ -80,20 +80,6 @@ class BoundsReport:
     bound_combined: float
     bicriteria_factor: float
     beta_cap: float
-    beta_estimate: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "sigma": self.sigma,
-            "xi": self.xi,
-            "bound_thm1": self.bound_thm1,
-            "bound_thm2": self.bound_thm2,
-            "bound_combined": self.bound_combined,
-            "bicriteria_factor": self.bicriteria_factor,
-            "beta_cap": self.beta_cap,
-            "beta_estimate": self.beta_estimate,
-        }
 
 
 def poa_bounds(net: Network) -> BoundsReport:
@@ -245,6 +231,7 @@ def beta_road_numeric(road: Road, v: float, w: float, sigma_use: float) -> float
     ``beta_road_closed_form`` to high relative accuracy.
     """
     _check_reference(road, v, w)
+    xi(sigma_use)  # rejects the sigmas the closed form rejects
     t_q = v + w
     m_q = capacity(road, v, w)
     bound = 3.0 * t_q * road.headway_ratio
@@ -448,7 +435,7 @@ def tightness_probe(
             table = path_table(net)
             opt, _ = _best_optimum(net, opt_cfg)
             rng = np.random.default_rng(seed)
-            starts = [None, "random"]
+            starts = [None]
             starts.extend(table.assignment(z) for z in _segregated_starts(table))
             starts.extend(table.assignment(table.random_start(rng))
                           for _ in range(random_starts))

@@ -178,7 +178,7 @@ def _run_optimum(scenario: Scenario):
 def _run_bounds(scenario: Scenario):
     report = poa_bounds(scenario.network)
     estimate = beta_network_estimate(scenario.network, samples=64, seed=scenario.seed)
-    payload = {"experiment": "bounds", **report.as_dict()}
+    payload = {"experiment": "bounds", **dataclasses.asdict(report)}
     payload["beta_estimate"] = estimate
     return payload, None, False
 

@@ -182,9 +182,8 @@ def _newton_step(table: PathTable, params, cheapest: np.ndarray, z: np.ndarray) 
 def wardrop_gap(net: Network, pf: PathFlowAssignment) -> tuple[float, float]:
     """(absolute, relative) Wardrop gap of a path-flow assignment; zero
     exactly at equilibrium."""
-    validate_assignment(net, pf)
-    table = path_table(net)
-    gap_rel, gap_abs, _ = _gap_at(table, _net_arrays(net), table.arrays(pf))
+    z = validate_assignment(net, pf)
+    gap_rel, gap_abs, _ = _gap_at(path_table(net), _net_arrays(net), z)
     return gap_abs, gap_rel
 
 
@@ -214,8 +213,7 @@ def solve_equilibrium(
             raise errors.InvalidParameterError(f"unknown start {start!r}")
         z = table.random_start(np.random.default_rng(cfg.seed))
     else:
-        validate_assignment(net, start)
-        z = table.arrays(start)
+        z = validate_assignment(net, start)
 
     best_gap = np.inf
     best = z.copy()

@@ -8,7 +8,9 @@ human-driven and autonomous flow demands. Routings are represented two ways:
 * path flows: one stacked array ``[human | auto]`` of length ``2P`` over the
   ``P`` enumerated simple paths, laid out by ``PathTable``. Every solver
   keeps path flows this way; ``PathFlowAssignment`` (per OD pair and class, a
-  dict from path to flow) exists only at the API edge.
+  dict from path to flow) exists only at the API edge and enters the solvers
+  through ``PathTable.arrays``, which accepts a path exactly when it is
+  enumerated.
 
 The path problem has a topology part and a demand part. The topology (the
 enumerated paths, the incidence matrix and the block layout of a path-flow
@@ -28,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -215,12 +217,6 @@ class Network:
     def road(self, rid: int) -> Road:
         return self.roads[self._road_index[rid]]
 
-    def road_position(self, rid: int) -> int:
-        """Index of a road in the link-flow ordering."""
-        if rid not in self._road_index:
-            raise errors.InvalidParameterError(f"unknown road id {rid}")
-        return self._road_index[rid]
-
 
 def _reachable(net: Network, origin: str, destination: str) -> bool:
     if origin == destination:
@@ -371,68 +367,33 @@ def _simple_paths(adjacency, origin: str, destination: str, max_hops: int,
     return tuple(out)
 
 
-def _path_nodes(net: Network, path: Path) -> list[str]:
-    return [net.road(path[0]).tail] + [net.road(rid).head for rid in path]
+def validate_assignment(net: Network, pf: PathFlowAssignment, tol: float = 1e-9) -> np.ndarray:
+    """Raise unless ``pf`` is a valid assignment for ``net``; return its
+    stacked path flows.
 
-
-def _validate_path(net: Network, od: ODPair, path: Path) -> None:
-    if not path:
-        raise errors.InvalidParameterError("empty path")
-    for rid in path:
-        if rid not in net._road_index:
-            raise errors.InvalidParameterError(f"unknown road id {rid} in path")
-    nodes = _path_nodes(net, path)
-    for (rid_a, rid_b) in zip(path, path[1:]):
-        if net.road(rid_a).head != net.road(rid_b).tail:
-            raise errors.InvalidParameterError(f"disconnected path {path}")
-    if nodes[0] != od.origin or nodes[-1] != od.destination:
-        raise errors.InvalidParameterError(
-            f"path {path} does not join {od.origin}->{od.destination}"
-        )
-    if len(set(nodes)) != len(nodes):
-        raise errors.InvalidParameterError(f"path {path} revisits a node")
-
-
-def validate_assignment(net: Network, pf: PathFlowAssignment, tol: float = 1e-9) -> None:
-    """Raise unless ``pf`` is a valid assignment for ``net``.
-
-    Checks path validity, finite nonnegative flows, and per-class demand totals
-    within relative tolerance ``tol``.
+    Checks what ``PathTable.arrays`` checks (enumerated paths, finite
+    nonnegative flows) and per-class demand totals within relative tolerance
+    ``tol``.
     """
-    if len(pf.human) != len(net.od_pairs) or len(pf.auto) != len(net.od_pairs):
-        raise errors.DimensionMismatchError(
-            f"assignment covers {len(pf.human)} OD pairs, network has {len(net.od_pairs)}"
+    table = path_table(net)
+    z = table.arrays(pf)
+    sums = np.where(table.valid, z[table.columns], 0.0).sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - table.totals) > tol * (1.0 + table.totals))
+    if bad.size:
+        n_od = len(table.blocks)
+        b = int(bad[0])
+        raise errors.InvalidParameterError(
+            f"OD {b % n_od} {('human', 'auto')[b // n_od]} flows sum to {sums[b]}, "
+            f"demand is {table.totals[b]}"
         )
-    for i, od in enumerate(net.od_pairs):
-        for cls_name, flows, demand in (
-            ("human", pf.human[i], od.demand_human),
-            ("auto", pf.auto[i], od.demand_auto),
-        ):
-            total = 0.0
-            for path, flow in flows.items():
-                _validate_path(net, od, path)
-                _check_finite(f"path {path}", **{f"{cls_name} flow": flow})
-                if flow < -1e-12:
-                    raise errors.NegativeFlowError(
-                        f"negative {cls_name} flow {flow} on path {path}"
-                    )
-                total += flow
-            if abs(total - demand) > tol * (1.0 + abs(demand)):
-                raise errors.InvalidParameterError(
-                    f"OD {i} {cls_name} flows sum to {total}, demand is {demand}"
-                )
+    return z
 
 
 def to_link_flows(net: Network, pf: PathFlowAssignment) -> FlowVector:
-    """Aggregate path flows into per-road (human, autonomous) link flows."""
-    x = np.zeros(net.n_roads)
-    y = np.zeros(net.n_roads)
-    for flows, acc in ((pf.human, x), (pf.auto, y)):
-        for od_flows in flows:
-            for path, flow in od_flows.items():
-                for rid in path:
-                    acc[net.road_position(rid)] += flow
-    return FlowVector.from_xy(x, y)
+    """Aggregate path flows, checked by ``PathTable.arrays``, into per-road
+    (human, autonomous) link flows."""
+    table = path_table(net)
+    return FlowVector.from_xy(*table.link_flows(table.arrays(pf)))
 
 
 @dataclass(frozen=True)
@@ -574,18 +535,34 @@ class PathTable:
         return PathFlowAssignment(human=flows[:n_od], auto=flows[n_od:])
 
     def arrays(self, pf: PathFlowAssignment) -> np.ndarray:
-        z = np.zeros(2 * self.total_paths)
+        """The stacked ``[human | auto]`` path flows of an assignment.
+
+        A path is valid exactly when it is in its OD pair's enumeration.
+        Raises on a wrong OD count, a path outside the enumeration, a
+        non-finite flow or one below -1e-12; smaller negatives clip to zero.
+        """
         n_od = len(self.blocks)
-        for i, od_paths in enumerate(self.paths):
-            for b, source in ((i, pf.human[i]), (n_od + i, pf.auto[i])):
-                index = dict(zip(od_paths, self.columns[b].tolist()))
-                for path, flow in source.items():
-                    if path not in index:
-                        raise errors.InvalidParameterError(
-                            f"path {path} is not in the enumeration for OD {i}"
-                        )
-                    z[index[path]] = max(flow, 0.0)
-        return z
+        if len(pf.human) != n_od or len(pf.auto) != n_od:
+            raise errors.DimensionMismatchError(
+                f"assignment covers {len(pf.human)} OD pairs, network has {n_od}"
+            )
+        z = np.zeros(2 * self.total_paths)
+        for i, (od, od_paths) in enumerate(zip(self.net.od_pairs, self.paths)):
+            index = dict(zip(od_paths, range(self.blocks[i].start, self.blocks[i].stop)))
+            for offset, source in ((0, pf.human[i]), (self.total_paths, pf.auto[i])):
+                try:
+                    cols = [offset + index[path] for path in source]
+                except KeyError as exc:
+                    raise errors.InvalidParameterError(
+                        f"path {exc.args[0]} is not a simple path of OD pair {i} "
+                        f"({od.origin}->{od.destination})"
+                    ) from None
+                z[cols] = list(source.values())
+        if not np.isfinite(z).all():
+            raise errors.InvalidParameterError("path flows must be finite")
+        if z.min() < -1e-12:
+            raise errors.NegativeFlowError(f"negative path flow {z.min()}")
+        return np.clip(z, 0.0, None, out=z)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -629,26 +606,3 @@ def path_table(net: Network) -> PathTable:
     da = _read_only(np.array([od.demand_auto for od in net.od_pairs]))
     return PathTable(net, *topology, demand_human=dh, demand_auto=da,
                      totals=_read_only(np.concatenate([dh, da])))
-
-
-def build_network(data: Mapping) -> Network:
-    """Build a validated Network from a plain mapping (the scenario schema).
-
-    Expected shape::
-
-        {"nodes": ["s", "t"],
-         "roads": [{"id": 1, "tail": "s", "head": "t", "length": 1.0,
-                    "headway": 2.0, "platoon_headway": 1.0, "freeflow": 1.0,
-                    "rho": 1.0, "sigma": 1.0, "capacity_model": "model1",
-                    "affine": {"coef_human": 3, "coef_auto": 1, "constant": 1}}],
-         "od_pairs": [{"origin": "s", "destination": "t",
-                       "demand_human": 1.0, "demand_auto": 1.0}]}
-
-    ``length``, ``headway``, ``platoon_headway``, ``freeflow``, ``rho``,
-    ``sigma``, ``capacity_model`` and ``affine`` are optional with the Road
-    defaults. Units are unchecked scalars; keeping them consistent is the
-    scenario author's responsibility.
-    """
-    from . import scenario as _scenario  # deferred: scenario imports this module
-
-    return _scenario.network_from_mapping(data)

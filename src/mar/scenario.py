@@ -181,6 +181,23 @@ def _road_from_mapping(data: Mapping, where: str) -> Road:
 
 
 def network_from_mapping(data: Mapping) -> Network:
+    """Build a validated Network from a plain mapping (the scenario schema).
+
+    Expected shape::
+
+        {"nodes": ["s", "t"],
+         "roads": [{"id": 1, "tail": "s", "head": "t", "length": 1.0,
+                    "headway": 2.0, "platoon_headway": 1.0, "freeflow": 1.0,
+                    "rho": 1.0, "sigma": 1.0, "capacity_model": "model1",
+                    "affine": {"coef_human": 3, "coef_auto": 1, "constant": 1}}],
+         "od_pairs": [{"origin": "s", "destination": "t",
+                       "demand_human": 1.0, "demand_auto": 1.0}]}
+
+    ``length``, ``headway``, ``platoon_headway``, ``freeflow``, ``rho``,
+    ``sigma``, ``capacity_model`` and ``affine`` are optional with the Road
+    defaults. Units are unchecked scalars; keeping them consistent is the
+    scenario author's responsibility. Exported as ``mar.build_network``.
+    """
     data = _require_mapping(data, "network")
     _check_keys(data, {"nodes", "roads", "od_pairs"}, "network")
     nodes = _get(data, "nodes", "network", list)

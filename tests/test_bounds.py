@@ -235,6 +235,13 @@ class TestBetaRoad:
         assert mar.beta_road_numeric(road, v, w, sigma) == pytest.approx(
             mar.beta_road_closed_form(road, v, w, sigma), rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [mar.beta_road_numeric, mar.beta_road_closed_form],
+                             ids=["numeric", "closed-form"])
+    @pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0, 0.5, float("inf")])
+    def test_invalid_sigma_rejected(self, beta, sigma):
+        with pytest.raises(errors.InvalidSigmaError):
+            beta(asym_road(2.0, 1.0), 1.0, 1.0, sigma)
+
     def test_return_types(self):
         road = asym_road(2.0, 1.0, model=mar.CapacityModel.MODEL2)
         assert type(mar.beta_road_numeric(road, 1.0, 0.5, 2.0)) is float
@@ -376,6 +383,31 @@ class TestTightnessProbe:
         points = mar.tightness_probe(ks=(2.0,), sigma=1.0, rhos=(100.0,))
         assert points[0].best_ratio >= 1.5
         assert points[0].best_ratio <= points[0].bound_combined + 2e-3
+
+    def test_each_instance_solves_distinct_starts(self, monkeypatch):
+        solve = mar.bounds.solve_equilibrium
+        starts = {}
+
+        def recording(net, cfg, *, start=None):
+            table = mar.path_table(net)
+            if start is None:
+                z = table.uniform_start()
+            elif isinstance(start, str):
+                z = table.random_start(np.random.default_rng(cfg.seed))
+            else:
+                z = table.arrays(start)
+            starts.setdefault(net, []).append(z)
+            return solve(net, cfg, start=start)
+
+        monkeypatch.setattr(mar.bounds, "solve_equilibrium", recording)
+        mar.tightness_probe(ks=(2.0,), rhos=(10.0, 100.0),
+                            eq_cfg=mar.EquilibriumConfig(max_iterations=10))
+        assert len(starts) == 2
+        for zs in starts.values():
+            assert len(zs) == 7
+            for a in range(len(zs)):
+                for b in range(a):
+                    assert not np.array_equal(zs[a], zs[b])
 
     @pytest.mark.parametrize("ks, rhos", [((), (10.0,)), ((2.0,), ())])
     def test_empty_ks_or_rhos_rejected(self, ks, rhos):

@@ -245,11 +245,96 @@ class TestToLinkFlows:
     def test_bad_paths_and_flows_raise_typed_errors(self):
         net = parallel_net([{}, {}])
         unknown = mar.PathFlowAssignment(human=({(99,): 1.0},), auto=({(1,): 1.0},))
-        with pytest.raises(errors.InvalidParameterError, match="unknown road id 99"):
+        with pytest.raises(errors.InvalidParameterError,
+                           match=r"path \(99,\) is not a simple path of OD pair 0 \(s->t\)"):
             mar.to_link_flows(net, unknown)
         negative = mar.PathFlowAssignment(human=({(1,): 1.5, (2,): -0.5},), auto=({(1,): 1.0},))
         with pytest.raises(errors.NegativeFlowError):
             mar.to_link_flows(net, negative)
+
+    def test_od_count_mismatch_raises(self):
+        net = parallel_net([{}, {}])
+        pf = mar.PathFlowAssignment(human=({(1,): 1.0}, {(1,): 1.0}), auto=({(1,): 1.0}, {}))
+        with pytest.raises(errors.DimensionMismatchError):
+            mar.to_link_flows(net, pf)
+
+
+def reference_path_nodes(net, path):
+    return [net.road(path[0]).tail] + [net.road(rid).head for rid in path]
+
+
+def reference_validate_path(net, od, path):
+    """A hand-written walk that accepts exactly the simple directed paths
+    joining ``od``'s endpoints, independent of path enumeration."""
+    if not path:
+        raise errors.InvalidParameterError("empty path")
+    for rid in path:
+        if rid not in net._road_index:
+            raise errors.InvalidParameterError(f"unknown road id {rid} in path")
+    nodes = reference_path_nodes(net, path)
+    for (rid_a, rid_b) in zip(path, path[1:]):
+        if net.road(rid_a).head != net.road(rid_b).tail:
+            raise errors.InvalidParameterError(f"disconnected path {path}")
+    if nodes[0] != od.origin or nodes[-1] != od.destination:
+        raise errors.InvalidParameterError(
+            f"path {path} does not join {od.origin}->{od.destination}"
+        )
+    if len(set(nodes)) != len(nodes):
+        raise errors.InvalidParameterError(f"path {path} revisits a node")
+
+
+def _candidate_paths(net, table, rng):
+    """Enumerated paths of every OD pair plus reversed, truncated, extended,
+    cycled, unknown-id and random road sequences built from them."""
+    rids = [road.rid for road in net.roads]
+    candidates = {()}
+    for path in (p for od_paths in table.paths for p in od_paths):
+        candidates |= {path, path[::-1], path[:-1], path[1:], path + path,
+                       path[1:] + path[:1], path + (int(rng.choice(rids)),),
+                       path[:-1] + (max(rids) + 1,)}
+    for _ in range(10):
+        candidates.add(tuple(int(r) for r in rng.choice(rids, size=rng.integers(1, 5))))
+    return sorted(candidates, key=lambda p: (len(p), p))
+
+
+class TestPathValidity:
+    def test_arrays_accepts_exactly_what_the_reference_walk_accepts(self, rng):
+        nets = [random_network(rng) for _ in range(100)] + [grid_net(3)]
+        tried = accepted = 0
+        mismatches = []
+        for net in nets:
+            table = mar.path_table(net)
+            n_od = len(net.od_pairs)
+            for path in _candidate_paths(net, table, rng):
+                for i, od in enumerate(net.od_pairs):
+                    try:
+                        reference_validate_path(net, od, path)
+                        expected = True
+                    except errors.InvalidParameterError:
+                        expected = False
+                    human = tuple({path: 1.0} if j == i else {} for j in range(n_od))
+                    try:
+                        table.arrays(mar.PathFlowAssignment(human=human, auto=({},) * n_od))
+                        got = True
+                    except errors.InvalidParameterError:
+                        got = False
+                    tried += 1
+                    accepted += got
+                    if got != expected:
+                        mismatches.append((net, i, path))
+        assert mismatches == []
+        assert 0 < accepted < tried
+
+    def test_flow_below_the_clip_threshold_raises(self):
+        table = mar.path_table(parallel_net([{}, {}]))
+        pf = mar.PathFlowAssignment(human=({(1,): 1.0, (2,): -1e-9},), auto=({(1,): 1.0},))
+        with pytest.raises(errors.NegativeFlowError):
+            table.arrays(pf)
+
+    def test_tiny_negative_flows_clip_to_zero(self):
+        table = mar.path_table(parallel_net([{}, {}]))
+        pf = mar.PathFlowAssignment(human=({(1,): 1.0, (2,): -1e-13},), auto=({(2,): 1.0},))
+        np.testing.assert_array_equal(table.arrays(pf), [1.0, 0.0, 0.0, 1.0])
 
 
 class TestValidateAssignment:
@@ -346,6 +431,8 @@ def _through_assignment(check, cls_name):
 _NON_FINITE_ENTRY_POINTS.update({
     f"{name}-{cls_name}": _through_assignment(check, cls_name)
     for name, check in (("validate_assignment", mar.validate_assignment),
+                        ("to_link_flows", mar.to_link_flows),
+                        ("PathTable.arrays", lambda net, pf: mar.path_table(net).arrays(pf)),
                         ("wardrop_gap", mar.wardrop_gap),
                         ("solve_equilibrium", lambda net, pf: mar.solve_equilibrium(net, start=pf)))
     for cls_name in ("human", "auto")

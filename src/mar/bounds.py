@@ -104,22 +104,15 @@ def poa_bounds(net: Network) -> BoundsReport:
     )
 
 
-def _orient(road: Road) -> tuple[float, float, bool]:
-    """(big, small, swapped): headways sorted so the costlier class comes
-    first; ``swapped`` means the platooned headway is the big one."""
-    h, hbar = road.headway, road.platoon_headway
-    if hbar > h:
-        return hbar, h, True
-    return h, hbar, False
-
-
 @dataclass(frozen=True)
 class AggregateCost:
-    """Single-class piecewise latency anchored at an equilibrium flow split.
+    """Single-class latency anchored at an equilibrium flow split.
 
-    Routes the costlier vehicle type first: below the anchor the whole flow
-    pays the big headway, above it the remainder pays the small one. At
-    ``f = x_eq + y_eq`` the value reproduces the two-class latency exactly.
+    ``agg(f)`` is the road's two-class latency when the costlier vehicle
+    class, the one with the ``big`` headway, carries ``min(f, anchor)`` and
+    the other class carries the rest: below the anchor the whole flow pays
+    the big headway. ``swapped`` means the costlier class is the autonomous
+    one. At ``f = x_eq + y_eq`` the value is the equilibrium latency.
     """
 
     road: Road
@@ -139,30 +132,11 @@ class AggregateCost:
             raise errors.InvalidParameterError("aggregate flow must be finite")
         if f.min(initial=0.0) < 0:
             raise errors.NegativeFlowError("aggregate flow must be >= 0")
-        road = self.road
-        a, rho, sig, d = road.freeflow, road.rho, road.sigma, road.length
-        delta = self.big - self.small
-        inner_low = self.big * f / d
-        safe_f = np.where(f > 0, f, 1.0)
-        if road.capacity_model is CapacityModel.MODEL1:
-            inner_high = (self.small * f + delta * self.anchor) / d
-        elif self.swapped:
-            # platooned vehicles are the costly type: the anchor flow keeps
-            # paying the big headway among itself, the rest pays the small one
-            inner_high = np.where(
-                f > 0,
-                (self.small * f * f + delta * self.anchor * self.anchor) / (d * safe_f),
-                0.0,
-            )
-        else:
-            inner_high = np.where(
-                f > 0,
-                (self.big * f * f - delta * (f - self.anchor) ** 2) / (d * safe_f),
-                0.0,
-            )
-        inner = np.where(f <= self.anchor, inner_low, inner_high)
-        value = a * (1.0 + rho * inner ** sig)
-        return float(value) if scalar else value
+        costly = np.minimum(f, self.anchor)
+        rest = f - costly
+        x, y = (rest, costly) if self.swapped else (costly, rest)
+        value = _latencies(_arrays_for((self.road,)), x, y)
+        return float(value[0]) if scalar else value.reshape(f.shape)
 
 
 def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
@@ -178,9 +152,10 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
             f"equilibrium flows must be finite, got ({x_eq}, {y_eq})")
     if x_eq < 0 or y_eq < 0:
         raise errors.NegativeFlowError("equilibrium flows must be >= 0")
-    big, small, swapped = _orient(road)
-    anchor = y_eq if swapped else x_eq
-    return AggregateCost(road=road, anchor=anchor, big=big, small=small, swapped=swapped)
+    swapped = road.platoon_headway > road.headway  # the platooned class is costlier
+    big, small = sorted((road.headway, road.platoon_headway), reverse=True)
+    return AggregateCost(road=road, anchor=y_eq if swapped else x_eq, big=big, small=small,
+                         swapped=swapped)
 
 
 def _check_reference(road: Road, v: float, w: float) -> None:
@@ -363,7 +338,12 @@ def empirical_poa(
 
 @dataclass(frozen=True)
 class TightnessPoint:
-    """Best empirical ratio found for one asymmetry level."""
+    """Best empirical ratio found for one asymmetry level.
+
+    ``equilibria_found`` sums, over the level's instances, the distinct
+    equilibria its converged solves reached: link-flow vectors farther apart
+    than ``1e-6 * (1 + total demand)`` in max-abs distance.
+    """
 
     k: float
     best_ratio: float
@@ -439,13 +419,18 @@ def tightness_probe(
             starts.extend(table.assignment(z) for z in _segregated_starts(table))
             starts.extend(table.assignment(table.random_start(rng))
                           for _ in range(random_starts))
+            reached = []
+            same = 1e-6 * (1.0 + float(table.totals.sum()))  # as TightnessPoint states
             for start in starts:
                 eq = solve_equilibrium(net, eq_cfg, start=start)
                 if not eq.converged:
                     continue
-                found += 1
+                z = eq.link_flows.interleaved
+                if all(np.abs(z - seen).max() > same for seen in reached):
+                    reached.append(z)
                 ratio = eq.social_cost / opt.social_cost
                 best_ratio = max(best_ratio, ratio)
+            found += len(reached)
         points.append(TightnessPoint(
             k=float(k),
             best_ratio=best_ratio,

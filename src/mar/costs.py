@@ -1,16 +1,23 @@
 """Link latencies for mixed human/autonomous traffic.
 
-Road delay follows the BPR form ``freeflow * (1 + rho * ((x+y)/m(x,y))**sigma)``
-where the capacity ``m`` depends on the autonomy level ``y/(x+y)`` through one
-of two platooning models. The congestion argument ``(x+y)/m(x,y)`` expands to
+Road delay follows the BPR form ``freeflow * (1 + rho * r**sigma)`` with the
+congestion ratio ``r = (x+y) / m(x,y)``. The capacity ``m`` is the road length
+``d`` over the average road space per vehicle, which mixes the non-platooned
+headway ``h`` and the platooned headway ``hbar`` by the autonomy level
+``alpha = y/(x+y)``: with weight ``alpha`` under model 1, and ``alpha**2``
+under model 2, where a vehicle platoons only behind an autonomous one.
 
-* model 1: ``(h*x + hbar*y) / d``
-* model 2: ``(h*(x+y)**2 - (h - hbar)*y**2) / (d*(x+y))`` (zero at zero flow)
+The vectorized kernel writes that ratio, ``(x+y) * average_spacing / d``,
+once for both models:
 
-with ``h`` the non-platooned and ``hbar`` the platooned headway. Those closed
-forms are what the vectorized kernel evaluates; ``capacity`` states the rule
-itself, ``d / average_spacing``, and is the reference the tests hold the
-kernel to.
+    r = (h*x + hbar*y - m2*(hbar - h)*x*y/(x+y)) / d
+
+with ``m2`` 1 on model-2 roads and 0 on model-1 roads: under model 2 the
+``x*y/(x+y)`` autonomous vehicles that follow a human one keep the headway
+``h``. Its partials are ``dr/dx = (h - m2*(hbar-h)*alpha**2) / d`` and
+``dr/dy = (hbar - m2*(hbar-h)*(1-alpha)**2) / d``, with ``alpha`` taken as 0
+at zero flow. ``capacity`` states the rule itself, ``d / average_spacing``,
+and is the reference the tests hold the kernel to.
 
 The duplicated cost vector ``c(z)`` repeats each road's latency twice so that
 both vehicle classes see identical delays; its Jacobian is block diagonal in
@@ -31,7 +38,8 @@ from .network import CapacityModel, Network, Road, _flow_array
 
 @dataclass(frozen=True)
 class _RoadArrays:
-    """Per-road parameters as aligned numpy arrays (read-only)."""
+    """Per-road parameters, and the kernel's coefficients, as aligned
+    read-only numpy arrays."""
 
     freeflow: np.ndarray
     rho: np.ndarray
@@ -39,8 +47,13 @@ class _RoadArrays:
     h: np.ndarray
     hbar: np.ndarray
     d: np.ndarray
-    model2: np.ndarray   # bool mask
+    h_d: np.ndarray      # h / d
+    hbar_d: np.ndarray   # hbar / d
+    mixed_d: np.ndarray  # m2 * (hbar - h) / d
+    slope: np.ndarray    # freeflow * rho * sigma
+    sigma_less1: np.ndarray
     affine: np.ndarray   # bool mask
+    any_affine: bool
     ax: np.ndarray
     ay: np.ndarray
     a0: np.ndarray
@@ -48,72 +61,58 @@ class _RoadArrays:
 
 @functools.lru_cache(maxsize=256)
 def _arrays_for(roads: tuple[Road, ...]) -> _RoadArrays:
-    def arr(values):
-        a = np.array(values, dtype=float)
-        a.setflags(write=False)
-        return a
-
-    affine_mask = np.array([r.affine is not None for r in roads])
-    affine_mask.setflags(write=False)
-    model2 = np.array([r.capacity_model is CapacityModel.MODEL2 for r in roads])
-    model2.setflags(write=False)
-    return _RoadArrays(
-        freeflow=arr([r.freeflow for r in roads]),
-        rho=arr([r.rho for r in roads]),
-        sigma=arr([r.sigma for r in roads]),
-        h=arr([r.headway for r in roads]),
-        hbar=arr([r.platoon_headway for r in roads]),
-        d=arr([r.length for r in roads]),
-        model2=model2,
-        affine=affine_mask,
-        ax=arr([r.affine.coef_human if r.affine else 0.0 for r in roads]),
-        ay=arr([r.affine.coef_auto if r.affine else 0.0 for r in roads]),
-        a0=arr([r.affine.constant if r.affine else 0.0 for r in roads]),
+    freeflow, rho, sigma, h, hbar, d = (
+        np.array([getattr(r, name) for r in roads], dtype=float)
+        for name in ("freeflow", "rho", "sigma", "headway", "platoon_headway", "length"))
+    ax, ay, a0 = (
+        np.array([getattr(r.affine, name) if r.affine else 0.0 for r in roads], dtype=float)
+        for name in ("coef_human", "coef_auto", "constant"))
+    m2 = np.array([r.capacity_model is CapacityModel.MODEL2 for r in roads], dtype=float)
+    affine = np.array([r.affine is not None for r in roads])
+    fields = dict(
+        freeflow=freeflow, rho=rho, sigma=sigma, h=h, hbar=hbar, d=d,
+        h_d=h / d, hbar_d=hbar / d, mixed_d=m2 * (hbar - h) / d,
+        slope=freeflow * rho * sigma, sigma_less1=sigma - 1.0,
+        affine=affine, ax=ax, ay=ay, a0=a0,
     )
+    for a in fields.values():
+        a.setflags(write=False)
+    return _RoadArrays(**fields, any_affine=bool(affine.any()))
 
 
 def _net_arrays(net: Network) -> _RoadArrays:
     return _arrays_for(net.roads)
 
 
-def _congestion_ratio(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _congestion(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
+    """(r, alpha) per road: the congestion ratio, and the autonomy level with
+    the zero-flow convention alpha = 0."""
     t = x + y
-    r1 = (p.h * x + p.hbar * y) / p.d
-    safe_t = np.where(t > 0, t, 1.0)
-    r2 = np.where(t > 0, (p.h * t * t - (p.h - p.hbar) * y * y) / (p.d * safe_t), 0.0)
-    return np.where(p.model2, r2, r1)
+    alpha = y / np.where(t > 0, t, 1.0)
+    return p.h_d * x + (p.hbar_d - p.mixed_d * (1.0 - alpha)) * y, alpha
 
 
 def _latency_at(p: _RoadArrays, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Latency per road given the congestion ratio ``r`` at flows (x, y)."""
     bpr = p.freeflow * (1.0 + p.rho * r ** p.sigma)
-    if not p.affine.any():
+    if not p.any_affine:
         return bpr
     return np.where(p.affine, p.ax * x + p.ay * y + p.a0, bpr)
 
 
 def _latencies(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _latency_at(p, x, y, _congestion_ratio(p, x, y))
+    return _latency_at(p, x, y, _congestion(p, x, y)[0])
 
 
 def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     """(c, dc/dx, dc/dy) per road: the latency and its partials, from one
-    congestion ratio. At zero total flow the autonomy level is taken as 0,
-    matching the zero-flow convention of the cost itself."""
-    t = x + y
-    safe_t = np.where(t > 0, t, 1.0)
-    alpha = np.where(t > 0, y / safe_t, 0.0)
-    drdx1 = p.h / p.d
-    drdy1 = p.hbar / p.d
-    drdx2 = (p.h + (p.h - p.hbar) * alpha * alpha) / p.d
-    drdy2 = (p.h - (p.h - p.hbar) * alpha * (2.0 - alpha)) / p.d
-    drdx = np.where(p.model2, drdx2, drdx1 * np.ones_like(t))
-    drdy = np.where(p.model2, drdy2, drdy1 * np.ones_like(t))
-    r = _congestion_ratio(p, x, y)
-    base = p.freeflow * p.rho * p.sigma * r ** (p.sigma - 1.0)
-    dcdx = base * drdx
-    dcdy = base * drdy
-    if p.affine.any():
+    congestion ratio."""
+    r, alpha = _congestion(p, x, y)
+    human = 1.0 - alpha
+    base = p.slope * r ** p.sigma_less1
+    dcdx = base * (p.h_d - p.mixed_d * alpha * alpha)
+    dcdy = base * (p.hbar_d - p.mixed_d * human * human)
+    if p.any_affine:
         dcdx = np.where(p.affine, p.ax, dcdx)
         dcdy = np.where(p.affine, p.ay, dcdy)
     return _latency_at(p, x, y, r), dcdx, dcdy
@@ -195,11 +194,10 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
     x, y = _split_flows(net, z)
     _, dcdx, dcdy = _latency_partials(_net_arrays(net), x, y)
     n = net.n_roads
-    jac = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        jac[2 * i:2 * i + 2, 2 * i] = dcdx[i]
-        jac[2 * i:2 * i + 2, 2 * i + 1] = dcdy[i]
-    return jac
+    jac = np.zeros((n, 2, n, 2))
+    road = np.arange(n)
+    jac[road, :, road, :] = np.stack([dcdx, dcdy], axis=1)[:, None, :]
+    return jac.reshape(2 * n, 2 * n)
 
 
 def monotonicity_probe(net: Network, z, q) -> float:
@@ -212,6 +210,9 @@ def monotonicity_probe(net: Network, z, q) -> float:
 
 def headway_from_speed(vehicle_length: float, speed: float, reaction_time: float) -> float:
     """Nominal road space per vehicle: body length plus reaction distance."""
+    if not all(map(math.isfinite, (vehicle_length, speed, reaction_time))):
+        raise errors.InvalidParameterError(
+            "vehicle_length, speed and reaction_time must be finite")
     if vehicle_length < 0 or speed < 0 or reaction_time < 0:
         raise errors.NegativeInputError(
             "vehicle_length, speed and reaction_time must be >= 0"

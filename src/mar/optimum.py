@@ -285,15 +285,17 @@ def grid_error_bound(net: Network, resolution: float) -> float:
     (all demand on any one road) times the l1 distance from an arbitrary
     simplex point to the grid.
     """
+    if not 0 < resolution <= 1:
+        raise errors.InvalidParameterError("resolution must be in (0, 1]")
     table = path_table(net)
     params = _net_arrays(net)
     t_bar = float(table.demand_human.sum()) + float(table.demand_auto.sum())
     big = np.maximum(params.h, params.hbar)
     r_max = big * t_bar / params.d
     c_max = _latency_at(params, t_bar, t_bar, r_max)
-    dc_max = params.freeflow * params.rho * params.sigma * \
-        np.where(r_max > 0, r_max ** (params.sigma - 1.0), 1.0) * 2.0 * big / params.d
-    if params.affine.any():
+    dc_max = params.slope * np.where(r_max > 0, r_max ** params.sigma_less1, 1.0) \
+        * 2.0 * big / params.d
+    if params.any_affine:
         dc_max = np.where(params.affine, np.maximum(params.ax, params.ay), dc_max)
     per_road = c_max + t_bar * dc_max
     # max over paths of the summed per-road bound

@@ -98,7 +98,46 @@ class TestPoABounds:
                 assert report.bound_thm2 >= 1.0
 
 
+def reference_aggregate_cost(agg, f):
+    """The three piecewise congestion ratios ``AggregateCost`` evaluated
+    before it called the shared kernel."""
+    road = agg.road
+    a, rho, sig, d = road.freeflow, road.rho, road.sigma, road.length
+    f = np.asarray(f, dtype=float)
+    delta = agg.big - agg.small
+    inner_low = agg.big * f / d
+    safe_f = np.where(f > 0, f, 1.0)
+    if road.capacity_model is mar.CapacityModel.MODEL1:
+        inner_high = (agg.small * f + delta * agg.anchor) / d
+    elif agg.swapped:
+        inner_high = np.where(
+            f > 0, (agg.small * f * f + delta * agg.anchor * agg.anchor) / (d * safe_f), 0.0)
+    else:
+        inner_high = np.where(
+            f > 0, (agg.big * f * f - delta * (f - agg.anchor) ** 2) / (d * safe_f), 0.0)
+    inner = np.where(f <= agg.anchor, inner_low, inner_high)
+    return a * (1.0 + rho * inner ** sig)
+
+
 class TestAggregateCost:
+    def test_matches_the_piecewise_reference(self, rng):
+        kinds = set()
+        for i in range(1000):
+            road = random_road(rng, 1, "s", "t", monotone_envelope=i % 2 == 0)
+            x_eq, y_eq = rng.uniform(0, 3, size=2)
+            if i % 10 == 0:
+                x_eq = y_eq = 0.0
+            agg = mar.aggregate_cost(road, float(x_eq), float(y_eq))
+            kinds.add((road.capacity_model, agg.swapped))
+            f = np.r_[0.0, agg.anchor, x_eq + y_eq, agg.anchor * rng.uniform(0, 1, 4),
+                      agg.anchor + rng.uniform(0, 4, 4)]
+            expected = reference_aggregate_cost(agg, f)
+            assert np.all(np.abs(agg(f) - expected) <= 1e-13 * expected)
+            scalar = agg(float(f[-1]))
+            assert isinstance(scalar, float)
+            assert abs(scalar - expected[-1]) <= 1e-13 * expected[-1]
+        assert len(kinds) == 4
+
     def test_zero_anchor_single_piece(self):
         road = asym_road(2.0, 1.0)
         agg = mar.aggregate_cost(road, 0.0, 0.0)

@@ -352,6 +352,13 @@ class TestMainCli:
         payload = json.loads(out.read_text())
         assert payload["bound_thm1"] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
+    def test_tightness_demo_counts_distinct_equilibria(self, capsys):
+        # each k's two instances reach three distinct equilibria apiece
+        assert main(["demo", "tightness-k-sweep"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split(",")[5] == "probe:6-equilibria" for row in rows)
+
     def test_verb_overrides_experiment(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(scenario_text())  # scenario says bounds

@@ -3,6 +3,7 @@ import pytest
 
 import mar
 from mar import errors
+from mar.costs import _arrays_for, _latencies, _latency_partials
 
 from factories import parallel_net, random_road
 
@@ -99,6 +100,56 @@ class TestLinkCost:
                 expected = road.freeflow * (
                     1.0 + road.rho * ((fx + fy) / mar.capacity(road, fx, fy)) ** road.sigma)
                 assert mar.link_cost(road, fx, fy) == pytest.approx(expected, rel=1e-12)
+
+
+def reference_kernel(roads, x, y):
+    """The per-model closed forms the kernel evaluated before it wrote the
+    congestion ratio once: both models' ratios and partials for every road,
+    picked by the model mask. Returns (c, dc/dx, dc/dy, scale), where
+    ``scale`` bounds the magnitude of the terms a partial sums, so that
+    partials near zero are compared on the scale they cancel from."""
+    def column(name):
+        return np.array([getattr(r, name) for r in roads])
+
+    h, hbar, d = column("headway"), column("platoon_headway"), column("length")
+    freeflow, rho, sigma = column("freeflow"), column("rho"), column("sigma")
+    model2 = np.array([r.capacity_model is mar.CapacityModel.MODEL2 for r in roads])
+    t = x + y
+    safe_t = np.where(t > 0, t, 1.0)
+    r1 = (h * x + hbar * y) / d
+    r2 = np.where(t > 0, (h * t * t - (h - hbar) * y * y) / (d * safe_t), 0.0)
+    r = np.where(model2, r2, r1)
+    alpha = np.where(t > 0, y / safe_t, 0.0)
+    drdx1 = h / d
+    drdy1 = hbar / d
+    drdx2 = (h + (h - hbar) * alpha * alpha) / d
+    drdy2 = (h - (h - hbar) * alpha * (2.0 - alpha)) / d
+    base = freeflow * rho * sigma * r ** (sigma - 1.0)
+    scale = base * (h + np.abs(h - hbar)) / d
+    return (freeflow * (1.0 + rho * r ** sigma), base * np.where(model2, drdx2, drdx1),
+            base * np.where(model2, drdy2, drdy1), scale)
+
+
+def test_kernel_matches_the_per_model_forms(rng):
+    # every random road once per capacity model, both headway orientations
+    roads = tuple(mar.Road(**{**road.__dict__, "rid": 2 * i + j, "capacity_model": model})
+                  for i in range(400)
+                  for road in [random_road(rng, i, "s", "t", monotone_envelope=i % 2 == 0)]
+                  for j, model in enumerate(mar.CapacityModel))
+    assert len({(r.capacity_model, r.platoon_headway > r.headway) for r in roads}) == 4
+    n = len(roads)
+    p = _arrays_for(roads)
+    for _ in range(5):
+        x, y = rng.uniform(0, 5, size=(2, n))
+        x[: n // 4] = 0.0                   # pure autonomous
+        y[n // 4: n // 2] = 0.0             # pure human
+        x[::7] = y[::7] = 0.0               # zero total flow
+        c, dcdx, dcdy = _latency_partials(p, x, y)
+        ref_c, ref_dx, ref_dy, scale = reference_kernel(roads, x, y)
+        assert np.array_equal(_latencies(p, x, y), c)
+        assert np.all(np.abs(c - ref_c) <= 1e-13 * ref_c)
+        assert np.all(np.abs(dcdx - ref_dx) <= 1e-13 * scale)
+        assert np.all(np.abs(dcdy - ref_dy) <= 1e-13 * scale)
 
 
 class TestCostVector:

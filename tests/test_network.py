@@ -415,6 +415,9 @@ _NON_FINITE_ENTRY_POINTS = {
     "verify_lemma_agg_poa_ratio-g": lambda v: mar.verify_lemma_agg_poa_ratio(_ROAD, 1.0, 1.0, 0.5, v),
     "verify_lemma_agg_opt-x": lambda v: mar.verify_lemma_agg_opt(_ROAD, v, 1.0),
     "verify_lemma_agg_opt-y": lambda v: mar.verify_lemma_agg_opt(_ROAD, 1.0, v),
+    "headway_from_speed-vehicle_length": lambda v: mar.headway_from_speed(v, 1.0, 1.0),
+    "headway_from_speed-speed": lambda v: mar.headway_from_speed(1.0, v, 1.0),
+    "headway_from_speed-reaction_time": lambda v: mar.headway_from_speed(1.0, 1.0, v),
 }
 
 

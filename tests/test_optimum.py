@@ -221,6 +221,15 @@ class TestBruteForceOptimum:
         cfg = mar.OptimumConfig(restarts=2, grid_resolution=5e-324)
         assert mar.empirical_poa(net, opt_cfg=cfg).opt_oracle == "local-search"
 
+    @pytest.mark.parametrize("resolution", [-0.01, 0.0, 1.5, float("nan"), float("inf")])
+    def test_grid_error_bound_rejects_resolution_outside_unit_interval(self, resolution):
+        net = parallel_net([dict(sigma=1.0)] * 2)
+        with pytest.raises(errors.InvalidParameterError, match=r"\(0, 1\]"):
+            mar.grid_error_bound(net, resolution)
+        with pytest.raises(errors.InvalidParameterError, match=r"\(0, 1\]"):
+            mar.brute_force_optimum(net, resolution)
+        assert mar.grid_error_bound(net, 1.0) > 0.0
+
     def test_oracle_within_lipschitz_bound_of_solver(self, rng):
         checked = 0
         while checked < 8:

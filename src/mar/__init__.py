@@ -38,7 +38,6 @@ from .costs import (
 from .equilibrium import (
     EquilibriumConfig,
     SolveResult,
-    StepRule,
     solve_equilibrium,
     vi_residual,
     wardrop_gap,
@@ -95,7 +94,7 @@ __all__ = [
     "AffineMixed", "AggregateCost", "BoundsReport", "CapacityModel", "DEMO_NAMES",
     "EquilibriumConfig", "Experiment", "FeasibilityReport", "FlowVector", "Network",
     "ODPair", "OptimumConfig", "Path", "PathFlowAssignment", "PathTable", "PoAOutcome",
-    "Road", "Scenario", "SolveResult", "StepRule", "SweepSpec", "TightnessPoint",
+    "Road", "Scenario", "SolveResult", "SweepSpec", "TightnessPoint",
     "aggregate_cost", "apply_sweep_parameter", "autonomy_level",
     "beta_network_estimate", "beta_road_closed_form", "beta_road_numeric",
     "brute_force_optimum", "build_network", "capacity", "check_feasible",

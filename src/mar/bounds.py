@@ -28,7 +28,7 @@ import numpy as np
 from . import errors
 from .costs import _arrays_for, _check_flow_pair, _latencies, _spacing, capacity
 from .equilibrium import EquilibriumConfig, SolveResult, solve_equilibrium
-from .network import CapacityModel, Network, ODPair, Road, path_table
+from .network import CapacityModel, Network, ODPair, Road, _check_integer, path_table
 from .optimum import OptimumConfig, brute_force_optimum, solve_optimum
 
 log = logging.getLogger("mar.bounds")
@@ -120,10 +120,6 @@ class AggregateCost:
     big: float
     small: float
     swapped: bool
-
-    @property
-    def breakpoint(self) -> float:
-        return self.anchor
 
     def __call__(self, f):
         scalar = np.isscalar(f)
@@ -233,8 +229,8 @@ def beta_network_estimate(net: Network, samples: int = 256, seed: int = 0) -> fl
     cap ``k * xi(sigma)`` always dominates the estimate.
     """
     _require_bpr(net, "beta_network_estimate")
-    if samples < 1:
-        raise errors.InvalidParameterError("samples must be >= 1")
+    _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     sigma = max_degree(net)
     table = path_table(net)
     rng = np.random.default_rng(seed)
@@ -385,20 +381,20 @@ def tightness_probe(
     seed: int = 0,
     eq_cfg: EquilibriumConfig | None = None,
     opt_cfg: OptimumConfig | None = None,
-    random_starts: int = 2,
 ) -> tuple[TightnessPoint, ...]:
     """Search two-road families for large equilibrium/optimum cost ratios.
 
     For each asymmetry level the probe builds opposed-asymmetry instances,
-    enumerates segregated warm starts (plus random ones) to reach distinct
-    equilibria of the non-unique game, verifies each candidate by its Wardrop
-    gap, and reports the worst certified ratio against the best optimum found.
-    Failing to attain the closed-form bound is expected; the probe establishes
-    growth, not exact tightness.
+    enumerates segregated warm starts (plus two random ones drawn from
+    ``seed``) to reach distinct equilibria of the non-unique game, verifies
+    each candidate by its Wardrop gap, and reports the worst certified ratio
+    against the best optimum found. Failing to attain the closed-form bound is
+    expected; the probe establishes growth, not exact tightness.
     """
     ks, rhos = tuple(ks), tuple(rhos)
     if not ks or not rhos:
         raise errors.InvalidParameterError("ks and rhos must each name at least one value")
+    _check_integer("seed", seed, 0)
     eq_cfg = eq_cfg or EquilibriumConfig(max_iterations=20_000)
     opt_cfg = opt_cfg or OptimumConfig(restarts=8, max_iterations=2_000)
     points = []
@@ -417,8 +413,7 @@ def tightness_probe(
             rng = np.random.default_rng(seed)
             starts = [None]
             starts.extend(table.assignment(z) for z in _segregated_starts(table))
-            starts.extend(table.assignment(table.random_start(rng))
-                          for _ in range(random_starts))
+            starts.extend(table.assignment(table.random_start(rng)) for _ in range(2))
             reached = []
             same = 1e-6 * (1.0 + float(table.totals.sum()))  # as TightnessPoint states
             for start in starts:

@@ -356,7 +356,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     seed = scenario.seed
     if args.seed is not None:
         seed = args.seed
-        eq_cfg = dataclasses.replace(eq_cfg, seed=args.seed)
         opt_cfg = dataclasses.replace(opt_cfg, seed=args.seed)
     if args.gap_tol is not None:
         eq_cfg = dataclasses.replace(eq_cfg, gap_tolerance=args.gap_tol)

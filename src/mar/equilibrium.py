@@ -6,21 +6,19 @@ the Wardrop gap: the demand-weighted excess of used-path costs over shortest
 path costs, normalized by social cost. A point is an equilibrium exactly when
 the gap is zero.
 
-Two averaging step rules are available. Plain MSA averages the all-or-nothing
-assignment with step ``1/(iteration+1)``. The self-regulated variant (the
-default) grows the step denominator slowly while the gap improves and quickly
-when it deteriorates. Averaging alone oscillates around the equilibrium with
-amplitude proportional to the step, so once the gap is below 1e-2 each
-iteration first tries one equalization move: a damped least-squares Newton
-step on the used paths toward equal path costs per OD pair, moving each class
-on its own. The step is kept only when the measured gap drops; otherwise the
-iteration takes the averaging step. Every returned answer is certified by
-``relative_gap``.
+The averaging is self-regulated: each iteration moves toward the
+all-or-nothing assignment with step ``1/denom``, and the denominator grows
+slowly while the gap improves and quickly when it deteriorates. Averaging
+alone oscillates around the equilibrium with amplitude proportional to the
+step, so once the gap is below 1e-2 each iteration first tries one
+equalization move: a damped least-squares Newton step on the used paths
+toward equal path costs per OD pair, moving each class on its own. The step
+is kept only when the measured gap drops; otherwise the iteration takes the
+averaging step. Every returned answer is certified by ``relative_gap``.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from typing import Callable
@@ -41,6 +39,7 @@ from .network import (
     Network,
     PathFlowAssignment,
     PathTable,
+    _check_integer,
     path_table,
     validate_assignment,
 )
@@ -48,25 +47,15 @@ from .network import (
 log = logging.getLogger("mar.equilibrium")
 
 
-class StepRule(enum.Enum):
-    MSA = "msa"
-    SELF_REGULATED = "self-regulated"
-
-
 @dataclass(frozen=True)
 class EquilibriumConfig:
     max_iterations: int = 100_000
     gap_tolerance: float = 1e-6
-    step_rule: StepRule = StepRule.SELF_REGULATED
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise errors.InvalidParameterError("max_iterations must be >= 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
         if not 0 < self.gap_tolerance < np.inf:
             raise errors.InvalidParameterError("gap_tolerance must be finite and > 0")
-        if isinstance(self.step_rule, str):
-            object.__setattr__(self, "step_rule", StepRule(self.step_rule))
 
 
 @dataclass(frozen=True)
@@ -191,15 +180,15 @@ def solve_equilibrium(
     net: Network,
     cfg: EquilibriumConfig | None = None,
     *,
-    start: PathFlowAssignment | str | None = None,
+    start: PathFlowAssignment | None = None,
     on_iterate: Callable[[int, PathFlowAssignment, float], None] | None = None,
 ) -> SolveResult:
     """Compute a Wardrop equilibrium by averaged all-or-nothing assignment.
 
-    ``start`` may be an explicit assignment (used to probe equilibrium
-    multiplicity), the string ``"random"`` (Dirichlet start seeded by
-    ``cfg.seed``), or None for the uniform split. When the gap tolerance is
-    not reached the best iterate found is returned with ``converged=False``
+    ``start`` is an explicit assignment (used to probe equilibrium
+    multiplicity) or None for the uniform split. The averaging step is
+    self-regulated, see the module docstring. When the gap tolerance is not
+    reached the best iterate found is returned with ``converged=False``
     rather than raising; ``iterations`` counts the iterations run either way.
     Deterministic for a given config and start.
     """
@@ -208,12 +197,11 @@ def solve_equilibrium(
     params = _net_arrays(net)
     if start is None:
         z = table.uniform_start()
-    elif isinstance(start, str):
-        if start != "random":
-            raise errors.InvalidParameterError(f"unknown start {start!r}")
-        z = table.random_start(np.random.default_rng(cfg.seed))
-    else:
+    elif isinstance(start, PathFlowAssignment):
         z = validate_assignment(net, start)
+    else:
+        raise errors.InvalidParameterError(
+            f"start must be a PathFlowAssignment or None, got {start!r}")
 
     best_gap = np.inf
     best = z.copy()
@@ -240,16 +228,12 @@ def solve_equilibrium(
                 z = candidate
                 continue
 
-        if cfg.step_rule is StepRule.MSA:
-            phi = 1.0 / (averaging_steps + 1.0)
-        else:
-            # grow the averaging denominator slowly on progress, fast on setbacks
-            if averaging_steps > 0:
-                denom += 2.0 if gap_rel > prev_gap * (1.0 - 1e-9) else 0.05
-            phi = 1.0 / denom
+        # grow the averaging denominator slowly on progress, fast on setbacks
+        if averaging_steps > 0:
+            denom += 2.0 if gap_rel > prev_gap * (1.0 - 1e-9) else 0.05
         target = np.zeros_like(z)
         target[cheapest] = table.totals
-        z += phi * (target - z)
+        z += (1.0 / denom) * (target - z)
         prev_gap = gap_rel
         averaging_steps += 1
         if it % 5000 == 0 and it > 0:

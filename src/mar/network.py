@@ -50,6 +50,14 @@ def _check_finite(owner: str, **values: float) -> None:
             raise errors.InvalidParameterError(f"{owner}: {name} must be finite, got {value}")
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise unless ``value`` is an integer, not a bool, of at least ``minimum``:
+    a count, or a seed for ``numpy.random.default_rng``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise errors.InvalidParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class CapacityModel(enum.Enum):
     """How autonomous vehicles are allowed to platoon on a road.
 
@@ -322,25 +330,20 @@ class PathFlowAssignment:
         return len(self.human)
 
 
-def enumerate_paths(net: Network, od: ODPair, max_hops: int | None = None) -> tuple[Path, ...]:
-    """All simple directed origin->destination paths with at most ``max_hops`` roads.
+def enumerate_paths(net: Network, od: ODPair) -> tuple[Path, ...]:
+    """All simple directed origin->destination paths.
 
     Paths are ordered lexicographically by their road-id sequence, which makes
-    the enumeration deterministic. ``max_hops`` defaults to the node count,
-    which covers every simple path. Raises ``TooLargeError`` as soon as there
+    the enumeration deterministic. Raises ``TooLargeError`` as soon as there
     are more than ``MAX_PATHS`` paths.
     """
-    if max_hops is None:
-        max_hops = len(net.nodes)
-    if max_hops < 1:
-        raise errors.InvalidParameterError("max_hops must be >= 1")
-    return _simple_paths(net._adjacency, od.origin, od.destination, max_hops, MAX_PATHS)
+    return _simple_paths(net._adjacency, od.origin, od.destination, MAX_PATHS)
 
 
-def _simple_paths(adjacency, origin: str, destination: str, max_hops: int,
-                  budget: int) -> tuple[Path, ...]:
-    """Depth-first enumeration behind ``enumerate_paths``; stops with
-    ``TooLargeError`` once it finds more than ``budget`` paths."""
+def _simple_paths(adjacency, origin: str, destination: str, budget: int) -> tuple[Path, ...]:
+    """Depth-first enumeration behind ``enumerate_paths``; a path never
+    revisits a node, which bounds the walk. Stops with ``TooLargeError`` once
+    it finds more than ``budget`` paths."""
     out: list[Path] = []
     visited = {origin}
     acc: list[int] = []
@@ -352,7 +355,7 @@ def _simple_paths(adjacency, origin: str, destination: str, max_hops: int,
                 if len(out) > budget:
                     raise errors.TooLargeError(f"OD pair {origin}->{destination} takes the "
                                                f"path count past the cap of {MAX_PATHS}")
-            elif head not in visited and len(acc) + 1 < max_hops:
+            elif head not in visited:
                 visited.add(head)
                 acc.append(rid)
                 walk(head)
@@ -361,9 +364,7 @@ def _simple_paths(adjacency, origin: str, destination: str, max_hops: int,
 
     walk(origin)
     if not out:
-        raise errors.NoPathFoundError(
-            f"no path {origin}->{destination} within {max_hops} hops"
-        )
+        raise errors.NoPathFoundError(f"no path {origin}->{destination}")
     return tuple(out)
 
 
@@ -578,9 +579,8 @@ def _topology(ends, ods):
     adjacency = _adjacency_of(ends)
     all_paths = []
     for origin, destination in ods:
-        # a simple path uses each road at most once, so len(ends) hops cover all
         budget = MAX_PATHS - sum(map(len, all_paths))
-        all_paths.append(_simple_paths(adjacency, origin, destination, len(ends), budget))
+        all_paths.append(_simple_paths(adjacency, origin, destination, budget))
     counts = np.array([len(od_paths) for od_paths in all_paths])
     starts = np.cumsum(counts) - counts
     total = int(counts.sum())

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import errors
 from .costs import _latencies, _latency_at, _latency_partials, _net_arrays
-from .network import Network, PathTable, path_table
+from .network import Network, PathTable, _check_integer, path_table
 from .equilibrium import SolveResult, _result
 
 log = logging.getLogger("mar.optimum")
@@ -48,12 +48,11 @@ class OptimumConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise errors.InvalidParameterError("restarts must be >= 1")
+        _check_integer("restarts", self.restarts, 1)
         if not 0 < self.grid_resolution <= 1:
             raise errors.InvalidParameterError("grid_resolution must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise errors.InvalidParameterError("max_iterations must be >= 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0 < self.step_tolerance < np.inf:
             raise errors.InvalidParameterError("step_tolerance must be finite and > 0")
 
@@ -227,28 +226,36 @@ def _compositions(n: int, parts: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _grid_steps(resolution: float) -> int:
+    """``round(1/resolution)``, the steps per block of the grid at ``resolution``:
+    the grid ``brute_force_optimum`` searches, and ``grid_error_bound`` bounds,
+    has spacing ``1/steps`` of each block's demand."""
+    if not 0 < resolution <= 1:
+        raise errors.InvalidParameterError("resolution must be in (0, 1]")
+    if not math.isfinite(1.0 / resolution):
+        raise errors.TooLargeError(f"resolution {resolution} is too fine: 1/resolution "
+                                   f"is not finite")
+    return round(1.0 / resolution)
+
+
 def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     """Exhaustive grid search over the product of path-flow simplices.
 
     Guarded: refuses instances whose total path count summed over OD-class
     pairs exceeds 6, or whose grid has more than ``MAX_GRID_POINTS`` points,
     with ``TooLargeError``. Ties break lexicographically (first grid point in
-    enumeration order wins). The result is within the grid's modulus of
+    enumeration order wins). The grid's spacing is ``1/round(1/resolution)``
+    of each block's demand. The result is within the grid's modulus of
     continuity of the true optimum, see ``grid_error_bound``.
     """
-    if not 0 < resolution <= 1:
-        raise errors.InvalidParameterError("resolution must be in (0, 1]")
+    steps = _grid_steps(resolution)
     table = path_table(net)
     n = table.total_paths
     if 2 * n > 6:
         raise errors.TooLargeError(
             f"{2 * n} paths across OD-class pairs exceeds the brute-force guard of 6"
         )
-    if not math.isfinite(1.0 / resolution):
-        raise errors.TooLargeError(f"resolution {resolution} is too fine: 1/resolution "
-                                   f"is not finite")
     params = _net_arrays(net)
-    steps = max(1, round(1.0 / resolution))
     counts = table.valid.sum(axis=1).tolist()
     sizes = [math.comb(steps + m - 1, m - 1) if demand > 0 else 1
              for m, demand in zip(counts, table.totals.tolist())]
@@ -279,14 +286,14 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
 
 
 def grid_error_bound(net: Network, resolution: float) -> float:
-    """Upper bound on ``|C(grid optimum) - C(true optimum)|``.
+    """Upper bound on ``|C(grid optimum) - C(true optimum)|`` for the grid
+    ``brute_force_optimum`` searches at ``resolution``.
 
     Uses a global bound on the social-cost gradient over the feasible set
     (all demand on any one road) times the l1 distance from an arbitrary
     simplex point to the grid.
     """
-    if not 0 < resolution <= 1:
-        raise errors.InvalidParameterError("resolution must be in (0, 1]")
+    spacing = 1.0 / _grid_steps(resolution)
     table = path_table(net)
     params = _net_arrays(net)
     t_bar = float(table.demand_human.sum()) + float(table.demand_auto.sum())
@@ -300,7 +307,7 @@ def grid_error_bound(net: Network, resolution: float) -> float:
     per_road = c_max + t_bar * dc_max
     # max over paths of the summed per-road bound
     grad_bound = float((per_road @ table.incidence).max())
-    displacement = float(np.sum(2.0 * table.valid.sum(axis=1) * resolution * table.totals))
+    displacement = float(np.sum(2.0 * table.valid.sum(axis=1) * spacing * table.totals))
     return grad_bound * displacement
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from . import errors
-from .equilibrium import EquilibriumConfig, StepRule
+from .equilibrium import EquilibriumConfig
 from .network import AffineMixed, CapacityModel, Network, ODPair, Road
 from .optimum import OptimumConfig
 
@@ -151,8 +151,7 @@ def _section(data, where: str, kinds: Mapping) -> dict:
 _ROAD_FIELDS = {"length": float, "headway": float, "platoon_headway": float,
                 "freeflow": float, "rho": float, "sigma": float,
                 "capacity_model": CapacityModel}
-_EQUILIBRIUM_FIELDS = {"max_iterations": int, "gap_tolerance": float,
-                       "step_rule": StepRule, "seed": int}
+_EQUILIBRIUM_FIELDS = {"max_iterations": int, "gap_tolerance": float}
 _OPTIMUM_FIELDS = {"restarts": int, "max_iterations": int, "step_tolerance": float,
                    "grid_resolution": float, "seed": int}
 _TIGHTNESS_FIELDS = {"ks": tuple[float, ...], "sigma": float,
@@ -236,6 +235,8 @@ def parse_scenario(text: str) -> Scenario:
         raise errors.SchemaError(f"scenario.schema_version: unrecognized version {version!r}")
     experiment = experiment_named(_get(data, "experiment", "scenario", str))
     seed = _get(data, "seed", "scenario", int, required=False, default=0)
+    if seed < 0:
+        raise errors.SchemaError(f"scenario.seed: expected an integer >= 0, got {seed}")
 
     network = None
     if "network" in data:
@@ -259,14 +260,14 @@ def parse_scenario(text: str) -> Scenario:
 
     tightness = TightnessSpec(**_section(data.get("tightness"), "tightness",
                                          _TIGHTNESS_FIELDS))
-    # the solver seeds default to the scenario's
+    # the optimum seed defaults to the scenario's
     eq_fields = _section(data.get("equilibrium"), "equilibrium", _EQUILIBRIUM_FIELDS)
     opt_fields = _section(data.get("optimum"), "optimum", _OPTIMUM_FIELDS)
     return Scenario(
         schema_version=version,
         experiment=experiment,
         network=network,
-        eq_config=EquilibriumConfig(**{"seed": seed, **eq_fields}),
+        eq_config=EquilibriumConfig(**eq_fields),
         opt_config=OptimumConfig(**{"seed": seed, **opt_fields}),
         sweep=sweep,
         tightness=tightness,

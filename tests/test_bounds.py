@@ -141,7 +141,7 @@ class TestAggregateCost:
     def test_zero_anchor_single_piece(self):
         road = asym_road(2.0, 1.0)
         agg = mar.aggregate_cost(road, 0.0, 0.0)
-        assert agg.breakpoint == 0.0
+        assert agg.anchor == 0.0
         # above the origin every unit pays the small (platoon) headway
         for f in (0.5, 1.0, 2.0):
             assert agg(f) == pytest.approx(1.0 + 1.0 * f / 1.0, rel=1e-12)
@@ -174,7 +174,7 @@ class TestAggregateCost:
             road = random_road(rng, 1, "s", "t", monotone_envelope=False)
             x_eq, y_eq = rng.uniform(0, 3, size=2)
             agg = mar.aggregate_cost(road, float(x_eq), float(y_eq))
-            a = agg.breakpoint
+            a = agg.anchor
             if a == 0:
                 continue
             left = agg(a)
@@ -339,6 +339,12 @@ class TestBetaNetworkEstimate:
             cap = mar.degree_of_asymmetry(net) * mar.xi(mar.max_degree(net))
             assert est <= cap + 1e-9
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", 0), ("seed", -1), ("seed", 0.5)])
+    def test_samples_and_seed_must_be_integers_in_range(self, field, value):
+        with pytest.raises(errors.InvalidParameterError, match=field):
+            mar.beta_network_estimate(symmetric_pair(), **{field: value})
+
 
 class TestLemmaVerifiers:
     def test_ratio_trivial_cases(self):
@@ -429,12 +435,7 @@ class TestTightnessProbe:
 
         def recording(net, cfg, *, start=None):
             table = mar.path_table(net)
-            if start is None:
-                z = table.uniform_start()
-            elif isinstance(start, str):
-                z = table.random_start(np.random.default_rng(cfg.seed))
-            else:
-                z = table.arrays(start)
+            z = table.uniform_start() if start is None else table.arrays(start)
             starts.setdefault(net, []).append(z)
             return solve(net, cfg, start=start)
 
@@ -452,6 +453,11 @@ class TestTightnessProbe:
     def test_empty_ks_or_rhos_rejected(self, ks, rhos):
         with pytest.raises(errors.InvalidParameterError):
             mar.tightness_probe(ks=ks, rhos=rhos)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(errors.InvalidParameterError, match="seed"):
+            mar.tightness_probe(ks=(2.0,), rhos=(10.0,), seed=seed)
 
     def test_aggregate_equilibrium_cost_identity(self, rng):
         # the single-class aggregate curves anchored at an equilibrium

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import mar
 from mar import errors
 from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
-from mar.scenario import _DEMOS, Scenario, parse_scenario
+from mar.scenario import (
+    _DEMOS, _EQUILIBRIUM_FIELDS, _OPTIMUM_FIELDS, Scenario, parse_scenario)
 
 from factories import grid_net, symmetric_pair
 
@@ -96,10 +98,10 @@ class TestParseScenario:
 
     def test_solver_overrides(self):
         sc = parse_scenario(scenario_text(
-            equilibrium={"max_iterations": 50, "gap_tolerance": 1e-4, "step_rule": "msa"},
+            equilibrium={"max_iterations": 50, "gap_tolerance": 1e-4},
             optimum={"restarts": 3}))
         assert sc.eq_config.max_iterations == 50
-        assert sc.eq_config.step_rule is mar.StepRule.MSA
+        assert sc.eq_config.gap_tolerance == 1e-4
         assert sc.opt_config.restarts == 3
 
     @pytest.mark.parametrize("key, values", [
@@ -130,6 +132,26 @@ class TestParseScenario:
         with pytest.raises(errors.SchemaError, match=field):
             parse_scenario(text)
 
+    def test_schema_sections_match_the_config_fields(self):
+        # a solver option lands in its config and its schema section together
+        for kinds, config in ((_EQUILIBRIUM_FIELDS, mar.EquilibriumConfig),
+                              (_OPTIMUM_FIELDS, mar.OptimumConfig)):
+            assert set(kinds) == {f.name for f in dataclasses.fields(config)}
+
+    @pytest.mark.parametrize("key, value", [("step_rule", "msa"), ("seed", 1)])
+    def test_removed_equilibrium_keys_are_schema_errors(self, tmp_path, capsys, key, value):
+        text = scenario_text(equilibrium={"max_iterations": 50, key: value})
+        with pytest.raises(errors.SchemaError, match=f"equilibrium: unknown field '{key}'"):
+            parse_scenario(text)
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert f"error: equilibrium: unknown field '{key}'" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_schema_error(self):
+        with pytest.raises(errors.SchemaError, match="scenario.seed"):
+            parse_scenario(scenario_text(seed=-1))
+
     def test_empty_tightness_list_fails_typed(self):
         sc = parse_scenario(scenario_text(experiment="tightness_probe",
                                           tightness={"rhos": []}))
@@ -152,8 +174,7 @@ FULL = {
              "affine": {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}},
         ],
     },
-    "equilibrium": {"max_iterations": 50, "gap_tolerance": 1e-4, "step_rule": "msa",
-                    "seed": 1},
+    "equilibrium": {"max_iterations": 50, "gap_tolerance": 1e-4},
     "optimum": {"restarts": 2, "max_iterations": 10, "step_tolerance": 1e-9,
                 "grid_resolution": 0.1, "seed": 2},
     "sweep": {"parameter": "autonomy_share", "start": 0.0, "stop": 1.0, "steps": 3},
@@ -351,6 +372,13 @@ class TestMainCli:
         assert main(["demo", "classic-4-3", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["bound_thm1"] == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["classic-4-3", "tightness-k-sweep"])
+    def test_negative_seed_fails_without_traceback(self, capsys, name):
+        assert main(["demo", name, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
 
     def test_tightness_demo_counts_distinct_equilibria(self, capsys):
         # each k's two instances reach three distinct equilibria apiece

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -75,10 +76,9 @@ class TestSolveEquilibrium:
         for split in res.link_flows.total:
             assert split == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("rule", [mar.StepRule.MSA, mar.StepRule.SELF_REGULATED])
-    def test_designated_instance_matches_grid_oracle(self, rule):
+    def test_designated_instance_matches_grid_oracle(self):
         net = designated_two_road()
-        cfg = mar.EquilibriumConfig(max_iterations=200_000, step_rule=rule)
+        cfg = mar.EquilibriumConfig(max_iterations=200_000)
         res = mar.solve_equilibrium(net, cfg)
         assert res.converged
         sh_grid, sa_grid = designated_min_gap_grid()
@@ -89,11 +89,17 @@ class TestSolveEquilibrium:
 
     def test_deterministic_given_seed(self):
         net = designated_two_road()
-        cfg = mar.EquilibriumConfig(seed=7)
-        a = mar.solve_equilibrium(net, cfg, start="random")
-        b = mar.solve_equilibrium(net, cfg, start="random")
+        table = mar.path_table(net)
+        start = table.assignment(table.random_start(np.random.default_rng(7)))
+        a = mar.solve_equilibrium(net, start=start)
+        b = mar.solve_equilibrium(net, start=start)
         assert np.array_equal(a.link_flows.interleaved, b.link_flows.interleaved)
         assert a.social_cost == b.social_cost
+
+    @pytest.mark.parametrize("start", ["random", 123])
+    def test_start_is_an_assignment_or_none(self, start):
+        with pytest.raises(errors.InvalidParameterError, match="start"):
+            mar.solve_equilibrium(designated_two_road(), start=start)
 
     def test_warm_start_at_equilibrium_returns_it(self):
         # segregated flows on the opposed-asymmetry pair have exactly equal
@@ -305,6 +311,15 @@ class TestEquilibriumConfig:
     def test_gap_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(errors.InvalidParameterError, match="gap_tolerance"):
             mar.EquilibriumConfig(gap_tolerance=tol)
+
+    @pytest.mark.parametrize("value", [2.5, 0, -3, True, "10"])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(errors.InvalidParameterError, match="max_iterations"):
+            mar.EquilibriumConfig(max_iterations=value)
+
+    def test_fields_are_the_iteration_cap_and_the_tolerance(self):
+        assert [f.name for f in dataclasses.fields(mar.EquilibriumConfig)] == [
+            "max_iterations", "gap_tolerance"]
 
 
 class TestViResidual:

@@ -116,7 +116,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 class TestEnumeratePaths:
     def test_two_parallel_roads(self):
         net = parallel_net([{}, {}])
-        paths = mar.enumerate_paths(net, net.od_pairs[0], max_hops=1)
+        paths = mar.enumerate_paths(net, net.od_pairs[0])
         assert paths == ((1,), (2,))
 
     def test_diamond(self):
@@ -128,18 +128,14 @@ class TestEnumeratePaths:
         )
         net = mar.Network(nodes=("s", "a", "b", "t"), roads=roads,
                           od_pairs=(mar.ODPair("s", "t", 1.0, 1.0),))
-        paths = mar.enumerate_paths(net, net.od_pairs[0], max_hops=2)
+        paths = mar.enumerate_paths(net, net.od_pairs[0])
         assert paths == ((1, 2), (3, 4))
 
     def test_triangle_exhaustive(self):
         net = triangle_net()
-        paths = mar.enumerate_paths(net, net.od_pairs[0], max_hops=2)
+        paths = mar.enumerate_paths(net, net.od_pairs[0])
         # by-hand DFS: the two simple routes, ordered by road-id sequence
         assert paths == ((1, 2), (3,))
-
-    def test_max_hops_cutoff(self):
-        net = triangle_net()
-        assert mar.enumerate_paths(net, net.od_pairs[0], max_hops=1) == ((3,),)
 
     def test_no_path_found(self):
         net = parallel_net([{}, {}])

@@ -79,6 +79,17 @@ class TestSolveOptimum:
         with pytest.raises(errors.InvalidParameterError, match="step_tolerance"):
             mar.OptimumConfig(step_tolerance=tol)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.0), ("restarts", 2.5), ("restarts", 0),
+        ("max_iterations", 2.5), ("max_iterations", True)])
+    def test_counts_and_seed_must_be_integers_in_range(self, field, value):
+        # rejected when the config is built, not once a solve starts
+        with pytest.raises(errors.InvalidParameterError, match=field):
+            mar.OptimumConfig(**{field: value})
+
+    def test_numpy_integer_seed_accepted(self):
+        assert mar.OptimumConfig(seed=np.int64(3), restarts=np.int32(2)).seed == 3
+
 
 class TestBatchedDescent:
     def test_projection_matches_per_block_reference(self, rng):
@@ -229,6 +240,19 @@ class TestBruteForceOptimum:
         with pytest.raises(errors.InvalidParameterError, match=r"\(0, 1\]"):
             mar.brute_force_optimum(net, resolution)
         assert mar.grid_error_bound(net, 1.0) > 0.0
+
+    @pytest.mark.parametrize("resolution, spacing", [(0.3, 1.0 / 3.0), (0.7, 1.0)])
+    def test_grid_error_bound_describes_the_searched_grid(self, resolution, spacing):
+        # brute force searches spacing 1/round(1/resolution); the certificate
+        # must bound that grid, not a finer one of spacing ``resolution``
+        net = mar.demo_scenario("classic-4-3").network
+        searched = mar.brute_force_optimum(net, resolution)
+        exact = mar.brute_force_optimum(net, spacing)
+        assert searched.iterations == exact.iterations
+        assert searched.social_cost == exact.social_cost
+        bound = mar.grid_error_bound(net, resolution)
+        assert bound == mar.grid_error_bound(net, spacing)
+        assert bound == pytest.approx(56.0 * spacing, rel=1e-12)
 
     def test_oracle_within_lipschitz_bound_of_solver(self, rng):
         checked = 0

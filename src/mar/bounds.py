@@ -384,16 +384,18 @@ def tightness_probe(
 ) -> tuple[TightnessPoint, ...]:
     """Search two-road families for large equilibrium/optimum cost ratios.
 
-    For each asymmetry level the probe builds opposed-asymmetry instances,
-    enumerates segregated warm starts (plus two random ones drawn from
-    ``seed``) to reach distinct equilibria of the non-unique game, verifies
-    each candidate by its Wardrop gap, and reports the worst certified ratio
-    against the best optimum found. Failing to attain the closed-form bound is
-    expected; the probe establishes growth, not exact tightness.
+    For each finite asymmetry level ``k >= 1`` the probe builds
+    opposed-asymmetry instances, enumerates segregated warm starts (plus two
+    random ones drawn from ``seed``) to reach distinct equilibria of the
+    non-unique game, verifies each candidate by its Wardrop gap, and reports
+    the worst certified ratio against the best optimum found. It is expected
+    to fall short of the closed-form bound: it shows growth, not tightness.
     """
     ks, rhos = tuple(ks), tuple(rhos)
     if not ks or not rhos:
         raise errors.InvalidParameterError("ks and rhos must each name at least one value")
+    if not all(1.0 <= k < np.inf for k in ks):
+        raise errors.InvalidParameterError(f"every k must be finite and >= 1, got {ks}")
     _check_integer("seed", seed, 0)
     eq_cfg = eq_cfg or EquilibriumConfig(max_iterations=20_000)
     opt_cfg = opt_cfg or OptimumConfig(restarts=8, max_iterations=2_000)

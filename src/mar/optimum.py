@@ -14,6 +14,7 @@ equilibrium cost to it is a lower estimate of the true ratio.
 from __future__ import annotations
 
 import decimal
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -60,34 +61,31 @@ class OptimumConfig:
 def _project(v: np.ndarray, table: PathTable) -> np.ndarray:
     """Euclidean projection of every row of ``v`` onto the product of the
     simplices ``{p >= 0, sum(p) = total}`` of the table's blocks, by one padded
-    sort over all rows and blocks (Duchi et al., ICML 2008). Zero-demand
-    blocks project to 0."""
+    sort over all rows and blocks (Duchi et al., ICML 2008). A block's entries
+    drop by the threshold ``max_j (s_j - total) / j``, with ``s_j`` the sum of
+    its ``j`` largest entries (Held, Wolfe & Crowder, Math. Prog. 1974), and
+    clip at 0. Zero-demand blocks project to 0."""
     w = v[:, table.columns]
-    # descending sort; the -inf padding lands after each block's entries
+    # descending sort; -inf pads after each block's entries, so their averages are -inf
     u = np.sort(np.where(table.valid, w, -np.inf), axis=-1)[..., ::-1]
-    css = np.cumsum(np.where(table.valid, u, 0.0), axis=-1) - table.totals[:, None]
-    idx = np.arange(1, u.shape[-1] + 1)
-    cond = u - css / idx > 0
-    rho = u.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1)  # last True
-    tau = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
+    css = np.cumsum(u, axis=-1) - table.totals[:, None]
+    tau = np.max(css / np.arange(1, u.shape[-1] + 1), axis=-1, keepdims=True)
     proj = np.where(table.totals[:, None] > 0, np.maximum(w - tau, 0.0), 0.0)
     return proj[:, table.valid]  # valid entries, block by block, are the columns in order
 
 
 def _class_norms(v: np.ndarray, n: int) -> np.ndarray:
     """Per row, the human norm plus the auto norm of a stacked array."""
-    return np.linalg.norm(v.reshape(len(v), 2, n), axis=2).sum(axis=1)
+    return np.sqrt(np.square(v.reshape(len(v), 2, n)).sum(axis=2)).sum(axis=1)
 
 
-def _cost_and_grad(table: PathTable, params, z: np.ndarray, want_grad=True):
-    """Social cost of every row of stacked path flows ``z`` and, if asked,
-    its gradient in the same layout."""
+def _cost_and_grad(table: PathTable, params, z: np.ndarray):
+    """Social cost of every row of stacked path flows ``z`` and its gradient
+    in the same layout."""
     n = table.total_paths
     xy = z.reshape(len(z), 2, n) @ table.incidence.T
     x, y = xy[:, 0], xy[:, 1]
     t = x + y
-    if not want_grad:
-        return np.sum(_latencies(params, x, y) * t, axis=1), None
     c, dcdx, dcdy = _latency_partials(params, x, y)
     grad = np.stack([c + t * dcdx, c + t * dcdy], axis=1) @ table.incidence
     return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
@@ -99,38 +97,36 @@ def _backtrack(table: PathTable, params, z, grad, cost, step):
     Try ``t`` of a row uses the step ``step * 2**-t``. As in sequential
     halving, a row makes at most ``_MAX_TRIES`` tries and stops trying once
     the halved step falls below ``_MIN_STEP``. Each kernel call evaluates the
-    next ``_BACKTRACK_BATCH`` tries of every undecided row; a row takes its
-    first accepted try. Returns (accepted mask, step, point, cost); the last
-    three only mean something where a row was accepted.
+    next ``_BACKTRACK_BATCH`` tries, with their gradients, of every undecided
+    row; a row takes its first accepted try. Returns (accepted mask, step,
+    point, cost, gradient); the last four mean something only where accepted.
     """
-    accepted = np.zeros(len(z), dtype=bool)
-    new_step = step.copy()
-    new_z = z.copy()
-    new_cost = cost.copy()
     pending = np.arange(len(z))
     for first in range(0, _MAX_TRIES, _BACKTRACK_BATCH):
         k = np.arange(first, min(first + _BACKTRACK_BATCH, _MAX_TRIES))
-        steps = step[pending, None] * 0.5 ** k
+        steps = step[:, None] * 0.5 ** k
         tried = (k == 0) | (steps >= _MIN_STEP)
-        base = z[pending, None, :]
-        slope = grad[pending, None, :]
-        cand = _project((base - steps[..., None] * slope).reshape(-1, z.shape[1]), table)
-        cand = cand.reshape(len(pending), len(k), z.shape[1])
-        cand_cost = _cost_and_grad(table, params, cand.reshape(-1, z.shape[1]),
-                                   want_grad=False)[0].reshape(steps.shape)
-        direction = np.sum(slope * (cand - base), axis=-1)
-        ok = tried & (cand_cost <= cost[pending, None] + 1e-4 * direction)
+        cand = _project((z[:, None, :] - steps[..., None] * grad[:, None, :])
+                        .reshape(-1, z.shape[1]), table)
+        cand_cost, cand_grad = _cost_and_grad(table, params, cand)
+        cand, cand_grad = (a.reshape(len(z), len(k), -1) for a in (cand, cand_grad))
+        cand_cost = cand_cost.reshape(steps.shape)
+        direction = np.sum(grad[:, None, :] * (cand - z[:, None, :]), axis=-1)
+        ok = tried & (cand_cost <= cost[:, None] + 1e-4 * direction)
         hit = ok.any(axis=1)
-        rows, pick = pending[hit], np.argmax(ok[hit], axis=1)
-        accepted[rows] = True
-        new_step[rows] = steps[hit, pick]
-        new_z[rows] = cand[hit, pick]
-        new_cost[rows] = cand_cost[hit, pick]
+        pick = np.arange(len(z)), np.argmax(ok, axis=1)
+        found = hit, steps[pick], cand[pick], cand_cost[pick], cand_grad[pick]
+        if first == 0:
+            result = found  # later batches scatter their accepted rows into it
+        else:
+            for out, new in zip(result, found):
+                out[pending[hit]] = new[hit]
         # a row whose tries ran out inside this batch stops without a move
-        pending = pending[~hit & tried[:, -1]]
-        if pending.size == 0:
+        keep = ~hit & tried[:, -1]
+        if not keep.any():
             break
-    return accepted, new_step, new_z, new_cost
+        pending, z, grad, cost, step = (a[keep] for a in (pending, z, grad, cost, step))
+    return result
 
 
 def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
@@ -141,41 +137,41 @@ def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
     ``y``; where ``s.y <= 0`` (the cost is nonconvex along the move) it is
     twice the last accepted step instead, and either is clipped to
     ``[1e-10, 1e3]``. Each row keeps its own step and stop rules; a stopped
-    row is left out of later iterations. Returns (points, costs,
-    stationarity, iterations), one entry per row."""
+    row's final state is set aside and the live rows' state stays compacted.
+    Returns (points, costs, stationarity, iterations), one entry per row."""
     n = table.total_paths
     cost, grad = _cost_and_grad(table, params, z)
     norms = np.linalg.norm(grad.reshape(len(z), 2, n), axis=2)
     step = np.minimum(1.0, 1.0 / (1.0 + np.hypot(norms[:, 0], norms[:, 1])))
-    iterations = np.zeros(len(z), dtype=int)
-    stalls = np.zeros(len(z), dtype=int)
+    final = np.empty_like(z), np.empty_like(cost), np.empty_like(grad)
+    iterations, stalls = np.zeros((2, len(z)), dtype=int)
     live = np.arange(len(z))
     for it in range(cfg.max_iterations):
-        if live.size == 0:
-            break
-        iterations[live] = it + 1
-        moved, new_step, cand, cand_cost = _backtrack(
-            table, params, z[live], grad[live], cost[live], step[live])
-        # a row that found no acceptable step stops where it is
-        live = live[moved]
-        cand, cand_cost = cand[moved], cand_cost[moved]
-        s = cand - z[live]
-        move = _class_norms(s, n)
-        improvement = cost[live] - cand_cost
-        old_grad = grad[live]
-        z[live] = cand
-        cost[live], grad[live] = _cost_and_grad(table, params, cand)
+        moved, new_step, cand, cand_cost, cand_grad = _backtrack(
+            table, params, z, grad, cost, step)
+        s = cand - z
         # Barzilai-Borwein (BB1) trial step s.s / s.y; where the cost curves
         # down along the move (s.y <= 0) fall back to doubling the last step
-        sy = np.sum(s * (grad[live] - old_grad), axis=1)
+        sy = np.sum(s * (cand_grad - grad), axis=1)
         bb = np.sum(s * s, axis=1) / np.where(sy > 0, sy, 1.0)
-        step[live] = np.clip(np.where(sy > 0, bb, new_step[moved] * 2.0), 1e-10, 1e3)
-        done = move <= cfg.step_tolerance * (1.0 + _class_norms(cand, n))
+        step = np.clip(np.where(sy > 0, bb, new_step * 2.0), 1e-10, 1e3)
+        done = _class_norms(s, n) <= cfg.step_tolerance * (1.0 + _class_norms(cand, n))
         # flat equal-cost manifolds (identical headways) admit endless
         # zero-improvement moves; stop once progress is numerically dead
-        flat = improvement <= 1e-14 * (1.0 + np.abs(cost[live]))
-        stalls[live] = np.where(flat, stalls[live] + 1, 0)
-        live = live[~(done | (stalls[live] >= 3))]
+        flat = cost - cand_cost <= 1e-14 * (1.0 + np.abs(cand_cost))
+        stalls = np.where(flat, stalls + 1, 0)
+        stop = ~moved | done | (stalls >= 3) | (it + 1 == cfg.max_iterations)
+        if stop.any():
+            iterations[live[stop]] = it + 1
+            for out, old, new in zip(final, (z, cost, grad), (cand, cand_cost, cand_grad)):
+                out[live[stop]] = new[stop]
+                out[live[~moved]] = old[~moved]  # no acceptable step: it stops where it is
+            if stop.all():
+                break
+            live, step, stalls, cand, cand_cost, cand_grad = (
+                a[~stop] for a in (live, step, stalls, cand, cand_cost, cand_grad))
+        z, cost, grad = cand, cand_cost, cand_grad
+    z, cost, grad = final
     # gradient-mapping stationarity at unit step, scaled by cost
     grad_map = _class_norms(z - _project(z - grad, table), n)
     return z, cost, grad_map / np.maximum(cost, 1e-12), iterations
@@ -216,14 +212,12 @@ def solve_optimum(net: Network, cfg: OptimumConfig | None = None) -> SolveResult
 
 def _compositions(n: int, parts: int) -> np.ndarray:
     """All nonnegative integer tuples of length ``parts`` summing to ``n``,
-    in lexicographic order."""
-    if parts == 1:
-        return np.array([[n]])
-    rows = []
-    for first in range(n + 1):
-        rest = _compositions(n - first, parts - 1)
-        rows.append(np.hstack([np.full((rest.shape[0], 1), first), rest]))
-    return np.vstack(rows)
+    in lexicographic order: stars and bars, the ``parts - 1`` bar positions
+    among ``n + parts - 1`` slots taken in lexicographic order."""
+    slots = n + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=int)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
+    return np.diff(edges, axis=1) - 1
 
 
 def _grid_steps(resolution: float) -> int:
@@ -245,8 +239,11 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     pairs exceeds 6, or whose grid has more than ``MAX_GRID_POINTS`` points,
     with ``TooLargeError``. Ties break lexicographically (first grid point in
     enumeration order wins). The grid's spacing is ``1/round(1/resolution)``
-    of each block's demand. The result is within the grid's modulus of
-    continuity of the true optimum, see ``grid_error_bound``.
+    of each block's demand. The grid is a product of per-block grids, so
+    each block's grid points are mapped to link flows once, and a grid
+    point's link flows per class are the sums of its blocks' rows. The
+    result is within the grid's modulus of continuity of the true optimum,
+    see ``grid_error_bound``.
     """
     steps = _grid_steps(resolution)
     table = path_table(net)
@@ -264,25 +261,26 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
         raise errors.TooLargeError(f"the grid at resolution {resolution} has "
                                    f"{decimal.Decimal(n_points):.3e} points, "
                                    f"past the brute-force cap of {MAX_GRID_POINTS}")
-    # one grid per block over its scaled simplex, padded to the layout's width
+    # one grid per block over its scaled simplex, and its points' link flows
     grids = [_compositions(steps, m) * (demand / steps) if demand > 0 else np.zeros((1, m))
              for m, demand in zip(counts, table.totals)]
-    first_rows = np.cumsum([0] + sizes[:-1])
-    width = table.valid.shape[1]
-    stacked = np.vstack([np.pad(g, ((0, 0), (0, width - g.shape[1]))) for g in grids])
-    best_cost = np.inf
-    best_point = None
+    flows = [g @ table.incidence[:, table.blocks[b % len(table.blocks)]].T
+             for b, g in enumerate(grids)]
+    best_cost, best_index = np.inf, 0
     chunk = 200_000
     for lo in range(0, n_points, chunk):
         # grid points in lexicographic order of their per-block indices
         idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), sizes)
-        pts = stacked[np.stack(idx, axis=1) + first_rows][:, table.valid]
-        costs = _cost_and_grad(table, params, pts, want_grad=False)[0]
+        link = [f[i] for f, i in zip(flows, idx)]
+        x, y = sum(link[:len(table.blocks)]), sum(link[len(table.blocks):])
+        costs = np.sum(_latencies(params, x, y) * (x + y), axis=1)
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_point = pts[j].copy()
-    return _result(table, best_point, 0.0, n_points, True)
+            best_index = lo + j
+    # valid entries, block by block, are the columns in order
+    best = [g[i] for g, i in zip(grids, np.unravel_index(best_index, sizes))]
+    return _result(table, np.concatenate(best), 0.0, n_points, True)
 
 
 def grid_error_bound(net: Network, resolution: float) -> float:

@@ -454,6 +454,12 @@ class TestTightnessProbe:
         with pytest.raises(errors.InvalidParameterError):
             mar.tightness_probe(ks=ks, rhos=rhos)
 
+    @pytest.mark.parametrize("k", [0.5, 0.0, -2.0, float("nan"), float("inf")])
+    def test_k_below_one_or_not_finite_rejected(self, k):
+        # a k below 1 would build the 1/k instance and report it as k
+        with pytest.raises(errors.InvalidParameterError, match=r"\bk must be"):
+            mar.tightness_probe(ks=(2.0, k), rhos=(10.0,))
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(errors.InvalidParameterError, match="seed"):

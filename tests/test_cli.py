@@ -490,6 +490,16 @@ class TestMainCli:
         assert main(["sweep", "--scenario", str(path)]) == 1
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0.5", "0.0", "-2.0"])  # the schema rejects non-finite
+    def test_tightness_k_below_one_fails_without_traceback(self, tmp_path, capsys, k):
+        path = tmp_path / "s.json"
+        path.write_text(scenario_text(experiment="tightness_probe").replace(
+            '"experiment"', f'"tightness": {{"ks": [2.0, {k}]}}, "experiment"'))
+        assert main(["run", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k must be finite and >= 1" in err
+        assert "Traceback" not in err
+
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"schema_version": "1",

@@ -1,3 +1,5 @@
+import functools
+import math
 import time
 
 import numpy as np
@@ -6,11 +8,14 @@ import pytest
 import mar
 from mar import errors
 from mar.costs import _net_arrays
+from mar.equilibrium import _result
 from mar.optimum import (
-    _STATIONARITY_TOL, _backtrack, _cost_and_grad, _descend, _project, _winner)
+    _STATIONARITY_TOL, _backtrack, _compositions, _cost_and_grad, _descend, _grid_steps,
+    _project, _winner)
 
 from factories import (
-    designated_two_road, parallel_net, random_network, separate_parallel, symmetric_pair)
+    designated_two_road, parallel_net, random_network, random_road, separate_parallel,
+    symmetric_pair)
 
 
 def reference_projection(v, total):
@@ -33,13 +38,77 @@ def sequential_backtrack(table, params, z, grad, cost, step):
     for _ in range(60):
         cand = _project((z - step * grad)[None, :], table)
         direction = float(np.dot(grad, cand[0] - z))
-        cand_cost = _cost_and_grad(table, params, cand, want_grad=False)[0][0]
+        cand_cost = _cost_and_grad(table, params, cand)[0][0]
         if cand_cost <= cost + 1e-4 * direction:
             return True, step
         step *= 0.5
         if step < 1e-16:
             break
     return False, step
+
+
+@functools.cache
+def reference_compositions(n, parts):
+    """The nonnegative integer tuples of length ``parts`` summing to ``n``,
+    built recursively on the first entry, in lexicographic order."""
+    if parts == 1:
+        return np.array([[n]])
+    rows = []
+    for first in range(n + 1):
+        rest = reference_compositions(n - first, parts - 1)
+        rows.append(np.hstack([np.full((rest.shape[0], 1), first), rest]))
+    return np.vstack(rows)
+
+
+def reference_brute_force(net, resolution):
+    """Brute force that gathers every grid point's stacked path flows and
+    evaluates them through ``_cost_and_grad``, 200,000 points at a time.
+    Returns the stacked path flows of the first lowest-cost grid point."""
+    steps = _grid_steps(resolution)
+    table = mar.path_table(net)
+    params = _net_arrays(net)
+    counts = table.valid.sum(axis=1).tolist()
+    sizes = [math.comb(steps + m - 1, m - 1) if demand > 0 else 1
+             for m, demand in zip(counts, table.totals.tolist())]
+    n_points = math.prod(sizes)
+    grids = [reference_compositions(steps, m) * (demand / steps) if demand > 0
+             else np.zeros((1, m)) for m, demand in zip(counts, table.totals)]
+    first_rows = np.cumsum([0] + sizes[:-1])
+    width = table.valid.shape[1]
+    stacked = np.vstack([np.pad(g, ((0, 0), (0, width - g.shape[1]))) for g in grids])
+    best_cost, best_point = np.inf, None
+    for lo in range(0, n_points, 200_000):
+        idx = np.unravel_index(np.arange(lo, min(lo + 200_000, n_points)), sizes)
+        pts = stacked[np.stack(idx, axis=1) + first_rows][:, table.valid]
+        costs = _cost_and_grad(table, params, pts)[0]
+        j = int(np.argmin(costs))
+        if costs[j] < best_cost:
+            best_cost, best_point = float(costs[j]), pts[j].copy()
+    return best_point
+
+
+#: Guard-admitted topologies as (road endpoints, OD endpoints): one, two and
+#: three OD pairs, with roads shared across OD pairs.
+ADMITTED_TOPOLOGIES = {
+    "two-parallel": ([("s", "t")] * 2, [("s", "t")]),
+    "three-parallel": ([("s", "t")] * 3, [("s", "t")]),
+    "triangle": ([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")]),
+    "two-od-shared": ([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t"), ("a", "t")]),
+    "three-od-chain": ([("s", "a"), ("a", "b")], [("s", "a"), ("a", "b"), ("s", "b")]),
+}
+
+
+def admitted_network(rng, topology, zero_demand):
+    """Random roads and demands on one of ``ADMITTED_TOPOLOGIES``; with
+    ``zero_demand`` the first OD pair carries no autonomous flow."""
+    road_ends, od_ends = ADMITTED_TOPOLOGIES[topology]
+    roads = tuple(random_road(rng, i + 1, tail, head) for i, (tail, head) in enumerate(road_ends))
+    demands = rng.uniform(0.2, 2.0, size=(len(od_ends), 2))
+    if zero_demand:
+        demands[0, 1] = 0.0
+    ods = tuple(mar.ODPair(o, d, *map(float, dem)) for (o, d), dem in zip(od_ends, demands))
+    nodes = tuple(sorted({node for ends in road_ends for node in ends}))
+    return mar.Network(nodes=nodes, roads=roads, od_pairs=ods)
 
 
 def class_blocks(table):
@@ -100,6 +169,21 @@ class TestBatchedDescent:
         v = rng.normal(scale=2.0, size=(50, 2 * table.total_paths))
         v[::2] = np.round(v[::2])  # ties
         v[1] = 0.0
+        # an entry at the threshold projects to 0, and the largest partial-sum
+        # average is attained both with and without it, so the max-average
+        # rule and the last-index rule can round apart there
+        for row in v[2:30]:
+            for b, blk in enumerate(class_blocks(table)):
+                m = blk.stop - blk.start
+                if m < 2:
+                    continue
+                tau = rng.normal(scale=2.0)
+                above = int(rng.integers(1, m))
+                entries = np.concatenate([tau + totals[b] * rng.dirichlet(np.ones(above)), [tau],
+                                          tau - rng.uniform(0.1, 2.0, size=m - above - 1)])
+                row[blk] = rng.permutation(entries)
+        # exactly: the human block of demand 2.0 has threshold -0.75
+        v[30, class_blocks(table)[2]] = [1.25, -0.75]
         out = _project(v, table)
         for row_in, row_out in zip(v, out):
             for b, blk in enumerate(class_blocks(table)):
@@ -117,7 +201,7 @@ class TestBatchedDescent:
         grad[::3] *= -1.0  # ascent directions exhaust the tries
         step = 10.0 ** rng.uniform(-16, 3, size=len(z))
         step[:4] = [1e3, 1e-15, 1e-16, 1.0]
-        ok, new_step, _, _ = _backtrack(table, params, z, grad, cost, step)
+        ok, new_step, _, _, _ = _backtrack(table, params, z, grad, cost, step)
         tries = []
         for r in range(len(z)):
             expect_ok, expect_step = sequential_backtrack(table, params, z[r], grad[r],
@@ -128,6 +212,43 @@ class TestBatchedDescent:
                 tries.append(round(np.log2(step[r] / expect_step)))
         assert max(tries) >= 4  # some row needed more than one batch of halvings
         assert not ok.all()
+
+    def test_backtracking_returns_the_gradient_of_its_point(self, rng):
+        net = random_network(np.random.default_rng(11))
+        table = mar.path_table(net)
+        params = _net_arrays(net)
+        z = np.array([table.random_start(rng) for _ in range(24)])
+        cost, grad = _cost_and_grad(table, params, z)
+        grad[::5] *= -1.0
+        step = 10.0 ** rng.uniform(-8, 3, size=len(z))
+        ok, _, point, new_cost, new_grad = _backtrack(table, params, z, grad, cost, step)
+        assert ok.any() and not ok.all()
+        expect_cost, expect_grad = _cost_and_grad(table, params, point[ok])
+        np.testing.assert_array_equal(new_cost[ok], expect_cost)
+        np.testing.assert_array_equal(new_grad[ok], expect_grad)
+
+    def test_batched_rows_descend_as_they_would_alone(self, rng):
+        # rows stop at different iterations, some at the cap; a row's result
+        # must not depend on which other rows share its batch
+        checked = 0
+        for _ in range(4):
+            net = random_network(rng)
+            table = mar.path_table(net)
+            params = _net_arrays(net)
+            start = np.array([table.random_start(rng) for _ in range(6)])
+            free = _descend(table, params, start.copy(), mar.OptimumConfig())[3]
+            cap = int(np.median(free))
+            for cfg in (mar.OptimumConfig(), mar.OptimumConfig(max_iterations=cap)):
+                z, cost, stat, iterations = _descend(table, params, start.copy(), cfg)
+                if len(set(iterations.tolist())) == 1:
+                    continue
+                checked += 1
+                for r in range(len(start)):
+                    alone = _descend(table, params, start[r:r + 1].copy(), cfg)
+                    np.testing.assert_array_equal(alone[0][0], z[r])
+                    assert (alone[1][0], alone[2][0], alone[3][0]) == \
+                        (cost[r], stat[r], iterations[r])
+        assert checked >= 4
 
     def test_ties_within_relative_tolerance_go_to_lower_index(self):
         assert _winner(np.array([3.0, 1.0 + 1e-12, 1.0, 2.0])) == 1
@@ -154,7 +275,7 @@ class TestBatchedDescent:
         params = _net_arrays(net)
         start = np.array([table.random_start(rng) for _ in range(6)])
         demands = np.concatenate([table.demand_human, table.demand_auto])
-        points, costs = [start], [_cost_and_grad(table, params, start, want_grad=False)[0]]
+        points, costs = [start], [_cost_and_grad(table, params, start)[0]]
         for k in range(1, 100):
             z, cost, _, iterations = _descend(table, params, start.copy(),
                                               mar.OptimumConfig(max_iterations=k))
@@ -253,6 +374,40 @@ class TestBruteForceOptimum:
         bound = mar.grid_error_bound(net, resolution)
         assert bound == mar.grid_error_bound(net, spacing)
         assert bound == pytest.approx(56.0 * spacing, rel=1e-12)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_compositions_match_the_recursive_reference(self, parts):
+        for n in (0, 1, 5, 20, 100):
+            got, expect = _compositions(n, parts), reference_compositions(n, parts)
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("zero_demand", [False, True])
+    @pytest.mark.parametrize("topology", sorted(ADMITTED_TOPOLOGIES))
+    def test_matches_the_gather_reference_bit_for_bit(self, rng, topology, zero_demand):
+        for _ in range(3):
+            net = admitted_network(rng, topology, zero_demand)
+            table = mar.path_table(net)
+            resolution = 0.05 if max(b.stop - b.start for b in table.blocks) >= 3 else 0.01
+            self.assert_matches_reference(net, resolution)
+
+    @pytest.mark.parametrize("net, resolution", [
+        (symmetric_pair(), 0.1),  # ties: the first grid point in order wins
+        (separate_parallel([1, 1, 1], [(1.0, 0.5), (0.0, 2.0), (1.5, 1.5)]), 0.01),
+        (designated_two_road(), 0.002),  # 251,001 points: two chunks
+        (symmetric_pair(), 0.002),  # and ties across them
+    ])
+    def test_matches_the_gather_reference_on_edge_cases(self, net, resolution):
+        self.assert_matches_reference(net, resolution)
+
+    @staticmethod
+    def assert_matches_reference(net, resolution):
+        table = mar.path_table(net)
+        res = mar.brute_force_optimum(net, resolution)
+        point = reference_brute_force(net, resolution)
+        np.testing.assert_array_equal(table.arrays(res.flows), point)
+        expect = _result(table, point, 0.0, res.iterations, True)
+        assert res.social_cost == expect.social_cost
 
     def test_oracle_within_lipschitz_bound_of_solver(self, rng):
         checked = 0

@@ -372,6 +372,16 @@ def _segregated_starts(table):
     return starts
 
 
+def _check_probe_levels(ks: tuple, rhos: tuple) -> None:
+    """The probe's level rule, which scenario parsing applies too: ``ks`` and ``rhos``
+    are nonempty and every k is finite and >= 1. Messages start with the field."""
+    if not ks or not rhos:
+        empty = "rhos" if ks else "ks"
+        raise errors.InvalidParameterError(f"{empty}: expected at least one value")
+    if not all(1.0 <= k < np.inf for k in ks):
+        raise errors.InvalidParameterError(f"ks: every k must be finite and >= 1, got {ks}")
+
+
 def tightness_probe(
     ks=(1.0, 1.5, 2.0, 3.0),
     sigma: float = 1.0,
@@ -392,10 +402,7 @@ def tightness_probe(
     to fall short of the closed-form bound: it shows growth, not tightness.
     """
     ks, rhos = tuple(ks), tuple(rhos)
-    if not ks or not rhos:
-        raise errors.InvalidParameterError("ks and rhos must each name at least one value")
-    if not all(1.0 <= k < np.inf for k in ks):
-        raise errors.InvalidParameterError(f"every k must be finite and >= 1, got {ks}")
+    _check_probe_levels(ks, rhos)
     _check_integer("seed", seed, 0)
     eq_cfg = eq_cfg or EquilibriumConfig(max_iterations=20_000)
     opt_cfg = opt_cfg or OptimumConfig(restarts=8, max_iterations=2_000)

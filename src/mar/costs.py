@@ -85,11 +85,12 @@ def _net_arrays(net: Network) -> _RoadArrays:
 
 
 def _congestion(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
-    """(r, alpha) per road: the congestion ratio, and the autonomy level with
-    the zero-flow convention alpha = 0."""
+    """(r, alpha, 1 - alpha, x + y) per road: the congestion ratio, the autonomy
+    level (0 at zero flow), its complement and the total flow."""
     t = x + y
     alpha = y / np.where(t > 0, t, 1.0)
-    return p.h_d * x + (p.hbar_d - p.mixed_d * (1.0 - alpha)) * y, alpha
+    human = 1.0 - alpha
+    return p.h_d * x + (p.hbar_d - p.mixed_d * human) * y, alpha, human, t
 
 
 def _latency_at(p: _RoadArrays, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -105,17 +106,16 @@ def _latencies(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
-    """(c, dc/dx, dc/dy) per road: the latency and its partials, from one
-    congestion ratio."""
-    r, alpha = _congestion(p, x, y)
-    human = 1.0 - alpha
+    """(c, dc/dx, dc/dy, x + y) per road: the latency and its partials, from
+    one congestion ratio, and the total flow. The partials are new arrays."""
+    r, alpha, human, t = _congestion(p, x, y)
     base = p.slope * r ** p.sigma_less1
     dcdx = base * (p.h_d - p.mixed_d * alpha * alpha)
     dcdy = base * (p.hbar_d - p.mixed_d * human * human)
     if p.any_affine:
         dcdx = np.where(p.affine, p.ax, dcdx)
         dcdy = np.where(p.affine, p.ay, dcdy)
-    return _latency_at(p, x, y, r), dcdx, dcdy
+    return _latency_at(p, x, y, r), dcdx, dcdy, t
 
 
 def _check_flow_pair(x: float, y: float) -> None:
@@ -192,7 +192,7 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
     that visit the origin well behaved.
     """
     x, y = _split_flows(net, z)
-    _, dcdx, dcdy = _latency_partials(_net_arrays(net), x, y)
+    _, dcdx, dcdy, _ = _latency_partials(_net_arrays(net), x, y)
     n = net.n_roads
     jac = np.zeros((n, 2, n, 2))
     road = np.arange(n)

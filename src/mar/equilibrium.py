@@ -84,16 +84,15 @@ def _gap_at(table: PathTable, params, z: np.ndarray):
     """
     x, y = table.link_flows(z)
     cp = table.incidence.T @ _latencies(params, x, y)
-    total_cost = float(sum(np.dot(flows, cp) for flows in z.reshape(2, -1)))
+    total_cost = float(z[:cp.size] @ cp) + float(z[cp.size:] @ cp)
     # each OD pair's cheapest path over the layout's human rows, ties to the
     # lowest index (padding repeats a block's first path, which argmin never
     # prefers); costs summed in OD order, as a Python sum, for any OD count
     n_od = len(table.blocks)
     padded = cp[table.columns[:n_od]]
-    j = padded.argmin(axis=1)
     demand = table.demand_human + table.demand_auto
-    shortest_cost = sum((demand * padded[np.arange(n_od), j]).tolist())
-    aon = table.columns[:n_od, 0] + j
+    shortest_cost = sum((demand * padded.min(axis=1)).tolist())
+    aon = table.columns[:n_od, 0] + padded.argmin(axis=1)
     gap_abs = max(total_cost - shortest_cost, 0.0)
     if total_cost <= 0.0:
         # a Network always carries positive demand
@@ -125,27 +124,28 @@ def _newton_step(table: PathTable, params, cheapest: np.ndarray, z: np.ndarray) 
     z[table.columns[rows, offsets]] = 0.0
 
     x, y = table.link_flows(z)
-    c, dcdx, dcdy = _latency_partials(params, x, y)
+    c, dcdx, dcdy, _ = _latency_partials(params, x, y)
     cp = incidence.T @ c
     # the support: used paths, grouped by OD pair; each group's first is its reference
     support = np.nonzero((z.reshape(2, n) > 0.0).any(axis=0))[0]
     owner = np.nonzero(table.valid[:n_od])[0][support]  # the OD pair of each path
-    first = np.r_[True, owner[1:] != owner[:-1]]
+    first = np.concatenate(([True], owner[1:] != owner[:-1]))
+    leaders = owner[first]
     ref = support[first][np.cumsum(first) - 1][~first]
     others = support[~first]
     # equal-cost rows: d(cost(j) - cost(ref))/dz per support column, per class
     diff = (incidence[:, others] - incidence[:, ref]).T
     inc_support = incidence[:, support]
-    member = (owner == owner[first][:, None]).astype(float)
+    member = (owner == leaders[:, None]).astype(float)
     zeros = np.zeros_like(member)
     matrix = np.vstack([np.hstack([(diff * dcdx) @ inc_support, (diff * dcdy) @ inc_support]),
                         np.hstack([member, zeros]), np.hstack([zeros, member])])
-    groups = np.r_[owner[first], owner[first] + n_od]
+    groups = np.concatenate((leaders, leaders + n_od))
     # a path off the support carries no flow, so a block's sum is its support's
     sums = np.where(table.valid, z[table.columns], 0.0).sum(axis=1)
-    rhs = np.r_[cp[ref] - cp[others], table.totals[groups] - sums[groups]]
+    rhs = np.concatenate((cp[ref] - cp[others], table.totals[groups] - sums[groups]))
     # per OD pair: its equal-cost rows, then its human and its auto demand row
-    order = np.argsort(np.r_[3 * owner[~first], 3 * owner[first] + 1, 3 * owner[first] + 2],
+    order = np.argsort(np.concatenate((3 * owner[~first], 3 * leaders + 1, 3 * leaders + 2)),
                        kind="stable")
     try:
         step, *_ = np.linalg.lstsq(matrix[order], rhs[order], rcond=None)
@@ -153,7 +153,7 @@ def _newton_step(table: PathTable, params, cheapest: np.ndarray, z: np.ndarray) 
         pass
     else:
         d = np.zeros(2 * n)
-        d[np.r_[support, support + n]] = step
+        d.reshape(2, n)[:, support] = step.reshape(2, -1)
         d[(z <= 0.0) & (d < 0.0)] = 0.0
         neg = d < 0.0
         damping = min(1.0, float(np.min(0.95 * z[neg] / -d[neg]))) if neg.any() else 1.0
@@ -210,7 +210,7 @@ def solve_equilibrium(
     averaging_steps = 0
     for it in range(cfg.max_iterations + 1):
         gap_rel, _, aon = _gap_at(table, params, z)
-        cheapest = np.r_[aon, aon + table.total_paths]  # per block of the layout
+        cheapest = np.concatenate((aon, aon + table.total_paths))  # per block of the layout
         if on_iterate is not None:
             on_iterate(it, table.assignment(z), gap_rel)
         if gap_rel < best_gap:

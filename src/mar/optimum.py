@@ -34,6 +34,10 @@ _BACKTRACK_BATCH = 4
 #: Armijo tries per iteration, and the halved step below which tries stop.
 _MAX_TRIES = 60
 _MIN_STEP = 1e-16
+#: The step factor of each try, 2**-t.
+_HALVINGS = 0.5 ** np.arange(_MAX_TRIES)
+#: Grid points brute force evaluates per kernel call, so its temporaries stay in cache.
+_SLAB = 8192
 #: Restart costs within this relative distance of the lowest one are tied.
 _TIE_RTOL = 1e-12
 #: Most grid points brute force visits: 3 paths per class at resolution 0.01.
@@ -64,13 +68,15 @@ def _project(v: np.ndarray, table: PathTable) -> np.ndarray:
     sort over all rows and blocks (Duchi et al., ICML 2008). A block's entries
     drop by the threshold ``max_j (s_j - total) / j``, with ``s_j`` the sum of
     its ``j`` largest entries (Held, Wolfe & Crowder, Math. Prog. 1974), and
-    clip at 0. Zero-demand blocks project to 0."""
+    clip at 0. Zero-demand blocks project to 0. The rows' blocks are
+    ``(rows, blocks, width)`` padded copies, sorted and clipped in place."""
     w = v[:, table.columns]
     # descending sort; -inf pads after each block's entries, so their averages are -inf
-    u = np.sort(np.where(table.valid, w, -np.inf), axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - table.totals[:, None]
-    tau = np.max(css / np.arange(1, u.shape[-1] + 1), axis=-1, keepdims=True)
-    proj = np.where(table.totals[:, None] > 0, np.maximum(w - tau, 0.0), 0.0)
+    u = np.where(table.valid, w, -np.inf)
+    u.sort(axis=-1)
+    css = u[..., ::-1].cumsum(axis=-1) - table.totals[:, None]
+    w -= (css / np.arange(1, u.shape[-1] + 1)).max(axis=-1, keepdims=True)
+    proj = np.where(table.totals[:, None] > 0, np.maximum(w, 0.0, out=w), 0.0)
     return proj[:, table.valid]  # valid entries, block by block, are the columns in order
 
 
@@ -81,14 +87,19 @@ def _class_norms(v: np.ndarray, n: int) -> np.ndarray:
 
 def _cost_and_grad(table: PathTable, params, z: np.ndarray):
     """Social cost of every row of stacked path flows ``z`` and its gradient
-    in the same layout."""
+    in the same layout. Class-major: one matmul of ``z`` read as ``(2, rows,
+    paths)`` gives contiguous ``(rows, roads)`` link flows per class, and each
+    class's link terms ``c + t * dc`` map back into its half of the gradient."""
     n = table.total_paths
-    xy = z.reshape(len(z), 2, n) @ table.incidence.T
-    x, y = xy[:, 0], xy[:, 1]
-    t = x + y
-    c, dcdx, dcdy = _latency_partials(params, x, y)
-    grad = np.stack([c + t * dcdx, c + t * dcdy], axis=1) @ table.incidence
-    return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
+    x, y = z.reshape(len(z), 2, n).transpose(1, 0, 2) @ table.incidence.T
+    c, dcdx, dcdy, t = _latency_partials(params, x, y)
+    cost = (c * t).sum(axis=1)
+    grad = np.empty_like(z)
+    for half, dc in ((grad[:, :n], dcdx), (grad[:, n:], dcdy)):
+        dc *= t
+        dc += c
+        np.matmul(dc, table.incidence, out=half)
+    return cost, grad
 
 
 def _backtrack(table: PathTable, params, z, grad, cost, step):
@@ -103,19 +114,23 @@ def _backtrack(table: PathTable, params, z, grad, cost, step):
     """
     pending = np.arange(len(z))
     for first in range(0, _MAX_TRIES, _BACKTRACK_BATCH):
-        k = np.arange(first, min(first + _BACKTRACK_BATCH, _MAX_TRIES))
-        steps = step[:, None] * 0.5 ** k
-        tried = (k == 0) | (steps >= _MIN_STEP)
+        steps = step[:, None] * _HALVINGS[first:first + _BACKTRACK_BATCH]
+        rows, k = steps.shape
+        tried = steps >= _MIN_STEP
+        tried[:, 0] |= first == 0
         cand = _project((z[:, None, :] - steps[..., None] * grad[:, None, :])
-                        .reshape(-1, z.shape[1]), table)
+                        .reshape(rows * k, -1), table)
         cand_cost, cand_grad = _cost_and_grad(table, params, cand)
-        cand, cand_grad = (a.reshape(len(z), len(k), -1) for a in (cand, cand_grad))
-        cand_cost = cand_cost.reshape(steps.shape)
-        direction = np.sum(grad[:, None, :] * (cand - z[:, None, :]), axis=-1)
-        ok = tried & (cand_cost <= cost[:, None] + 1e-4 * direction)
-        hit = ok.any(axis=1)
-        pick = np.arange(len(z)), np.argmax(ok, axis=1)
-        found = hit, steps[pick], cand[pick], cand_cost[pick], cand_grad[pick]
+        # Armijo: cost <= cost(z) + 1e-4 * grad.(cand - z)
+        rhs = cand.reshape(rows, k, -1) - z[:, None, :]
+        rhs *= grad[:, None, :]
+        ok = cand_cost.reshape(rows, k) <= rhs.sum(axis=-1) * 1e-4 + cost[:, None]
+        ok &= tried
+        # each row's first accepted try, as an index into the rows * k tries
+        pick = ok.argmax(axis=1) + np.arange(0, rows * k, k)
+        hit = ok.take(pick)
+        found = (hit, steps.take(pick), cand.take(pick, axis=0), cand_cost.take(pick),
+                 cand_grad.take(pick, axis=0))
         if first == 0:
             result = found  # later batches scatter their accepted rows into it
         else:
@@ -152,14 +167,16 @@ def _descend(table: PathTable, params, z: np.ndarray, cfg: OptimumConfig):
         s = cand - z
         # Barzilai-Borwein (BB1) trial step s.s / s.y; where the cost curves
         # down along the move (s.y <= 0) fall back to doubling the last step
-        sy = np.sum(s * (cand_grad - grad), axis=1)
-        bb = np.sum(s * s, axis=1) / np.where(sy > 0, sy, 1.0)
-        step = np.clip(np.where(sy > 0, bb, new_step * 2.0), 1e-10, 1e3)
-        done = _class_norms(s, n) <= cfg.step_tolerance * (1.0 + _class_norms(cand, n))
+        sy = (s * (cand_grad - grad)).sum(axis=1)
+        curved = sy > 0
+        bb = (s * s).sum(axis=1) / np.where(curved, sy, 1.0)
+        step = np.minimum(np.maximum(np.where(curved, bb, new_step * 2.0), 1e-10), 1e3)
+        norms = _class_norms(np.concatenate((s, cand)), n)
+        done = norms[:len(s)] <= cfg.step_tolerance * (1.0 + norms[len(s):])
         # flat equal-cost manifolds (identical headways) admit endless
         # zero-improvement moves; stop once progress is numerically dead
-        flat = cost - cand_cost <= 1e-14 * (1.0 + np.abs(cand_cost))
-        stalls = np.where(flat, stalls + 1, 0)
+        stalls += 1
+        stalls *= cost - cand_cost <= 1e-14 * (1.0 + np.abs(cand_cost))
         stop = ~moved | done | (stalls >= 3) | (it + 1 == cfg.max_iterations)
         if stop.any():
             iterations[live[stop]] = it + 1
@@ -239,11 +256,12 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     pairs exceeds 6, or whose grid has more than ``MAX_GRID_POINTS`` points,
     with ``TooLargeError``. Ties break lexicographically (first grid point in
     enumeration order wins). The grid's spacing is ``1/round(1/resolution)``
-    of each block's demand. The grid is a product of per-block grids, so
-    each block's grid points are mapped to link flows once, and a grid
-    point's link flows per class are the sums of its blocks' rows. The
-    result is within the grid's modulus of continuity of the true optimum,
-    see ``grid_error_bound``.
+    of each block's demand. The grid is a product of per-block grids: block
+    b's points map to link flows once and lie along axis b, and a point's
+    link flows per class broadcast as the sums over its blocks. Slabs of about
+    ``_SLAB`` points (a piece of one axis and all later axes) keep the
+    temporaries in cache. The result is within the grid's modulus of
+    continuity of the true optimum, see ``grid_error_bound``.
     """
     steps = _grid_steps(resolution)
     table = path_table(net)
@@ -253,6 +271,7 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
             f"{2 * n} paths across OD-class pairs exceeds the brute-force guard of 6"
         )
     params = _net_arrays(net)
+    n_od = len(table.blocks)
     counts = table.valid.sum(axis=1).tolist()
     sizes = [math.comb(steps + m - 1, m - 1) if demand > 0 else 1
              for m, demand in zip(counts, table.totals.tolist())]
@@ -264,22 +283,29 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     # one grid per block over its scaled simplex, and its points' link flows
     grids = [_compositions(steps, m) * (demand / steps) if demand > 0 else np.zeros((1, m))
              for m, demand in zip(counts, table.totals)]
-    flows = [g @ table.incidence[:, table.blocks[b % len(table.blocks)]].T
-             for b, g in enumerate(grids)]
-    best_cost, best_index = np.inf, 0
-    chunk = 200_000
-    for lo in range(0, n_points, chunk):
-        # grid points in lexicographic order of their per-block indices
-        idx = np.unravel_index(np.arange(lo, min(lo + chunk, n_points)), sizes)
-        link = [f[i] for f, i in zip(flows, idx)]
-        x, y = sum(link[:len(table.blocks)]), sum(link[len(table.blocks):])
-        costs = np.sum(_latencies(params, x, y) * (x + y), axis=1)
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            best_index = lo + j
+    flows = [g @ table.incidence[:, table.blocks[b % n_od]].T for b, g in enumerate(grids)]
+    # a slab is a piece of grid axis k and all of the axes after it, with block
+    # b's link flows along axis b; the axes before k are looped over
+    k, inner = len(sizes) - 1, 1
+    while k > 0 and inner * sizes[k] <= _SLAB:
+        inner *= sizes[k]
+        k -= 1
+    width = max(1, _SLAB // inner)
+    axes = [f.reshape(-1, *[1] * (len(sizes) - 1 - b), len(params.d))
+            for b, f in enumerate(flows)]
+    best_cost, best_index = np.inf, None
+    for outer in itertools.product(*map(range, sizes[:k])):
+        for lo in range(0, sizes[k], width):
+            link = [f[i] for f, i in zip(flows, outer)] + [axes[k][lo:lo + width]] + axes[k + 1:]
+            x, y = sum(link[:n_od]), sum(link[n_od:])
+            costs = (_latencies(params, x, y) * (x + y)).sum(axis=-1)
+            j = costs.argmin()  # the first minimum in C order is the lexicographic first
+            if costs.flat[j] < best_cost:
+                best_cost = costs.flat[j]
+                first, *rest = np.unravel_index(j, costs.shape)
+                best_index = outer + (lo + first, *rest)
     # valid entries, block by block, are the columns in order
-    best = [g[i] for g, i in zip(grids, np.unravel_index(best_index, sizes))]
+    best = [g[i] for g, i in zip(grids, best_index)]
     return _result(table, np.concatenate(best), 0.0, n_points, True)
 
 

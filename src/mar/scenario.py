@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from . import errors
+from .bounds import _check_probe_levels
 from .equilibrium import EquilibriumConfig
 from .network import AffineMixed, CapacityModel, Network, ODPair, Road
 from .optimum import OptimumConfig
@@ -260,6 +261,10 @@ def parse_scenario(text: str) -> Scenario:
 
     tightness = TightnessSpec(**_section(data.get("tightness"), "tightness",
                                          _TIGHTNESS_FIELDS))
+    try:
+        _check_probe_levels(tightness.ks, tightness.rhos)
+    except errors.InvalidParameterError as exc:
+        raise errors.SchemaError(f"tightness.{exc}") from None
     # the optimum seed defaults to the scenario's
     eq_fields = _section(data.get("equilibrium"), "equilibrium", _EQUILIBRIUM_FIELDS)
     opt_fields = _section(data.get("optimum"), "optimum", _OPTIMUM_FIELDS)

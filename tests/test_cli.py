@@ -152,11 +152,11 @@ class TestParseScenario:
         with pytest.raises(errors.SchemaError, match="scenario.seed"):
             parse_scenario(scenario_text(seed=-1))
 
-    def test_empty_tightness_list_fails_typed(self):
-        sc = parse_scenario(scenario_text(experiment="tightness_probe",
-                                          tightness={"rhos": []}))
-        with pytest.raises(errors.InvalidParameterError):
-            run(sc)
+    @pytest.mark.parametrize("key", ["ks", "rhos"])
+    def test_empty_tightness_list_fails_typed(self, key):
+        text = scenario_text(experiment="tightness_probe", tightness={key: []})
+        with pytest.raises(errors.SchemaError, match=f"tightness.{key}: expected at least one"):
+            parse_scenario(text)
 
 
 # A scenario using every section, for the mutation property below.
@@ -499,6 +499,20 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k must be finite and >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tightness, field", [
+        ({"ks": [0.5]}, "tightness.ks: every k must be finite and >= 1"),
+        ({"rhos": []}, "tightness.rhos: expected at least one value")])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, tightness, field):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"schema_version": "1", "experiment": "tightness_probe",
+                                    "tightness": tightness}))
+        for verb in ("validate", "run"):
+            assert main([verb, "--scenario", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}") and "Traceback" not in err
+        with pytest.raises(errors.SchemaError):
+            parse_scenario(path.read_text())
 
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -144,7 +144,8 @@ def test_kernel_matches_the_per_model_forms(rng):
         x[: n // 4] = 0.0                   # pure autonomous
         y[n // 4: n // 2] = 0.0             # pure human
         x[::7] = y[::7] = 0.0               # zero total flow
-        c, dcdx, dcdy = _latency_partials(p, x, y)
+        c, dcdx, dcdy, t = _latency_partials(p, x, y)
+        assert np.array_equal(t, x + y)
         ref_c, ref_dx, ref_dy, scale = reference_kernel(roads, x, y)
         assert np.array_equal(_latencies(p, x, y), c)
         assert np.all(np.abs(c - ref_c) <= 1e-13 * ref_c)

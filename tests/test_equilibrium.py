@@ -203,7 +203,7 @@ def reference_newton_step(table, params, c_road, ph, pa):
                 if j != jmin and p[j] < 1e-3 * max(float(demand), 1e-300):
                     p[jmin] += p[j]
                     p[j] = 0.0
-    c, dcdx, dcdy = _latency_partials(params, incidence @ ph, incidence @ pa)
+    c, dcdx, dcdy, _ = _latency_partials(params, incidence @ ph, incidence @ pa)
     cp = incidence.T @ c
     rows = []
     rhs = []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -9,13 +10,14 @@ import mar
 from mar import errors
 from mar.costs import _net_arrays
 from mar.equilibrium import _result
+from mar import optimum
 from mar.optimum import (
     _STATIONARITY_TOL, _backtrack, _compositions, _cost_and_grad, _descend, _grid_steps,
     _project, _winner)
 
 from factories import (
     designated_two_road, parallel_net, random_network, random_road, separate_parallel,
-    symmetric_pair)
+    symmetric_pair, zero_demand_beside_asymmetric)
 
 
 def reference_projection(v, total):
@@ -47,6 +49,30 @@ def sequential_backtrack(table, params, z, grad, cost, step):
     return False, step
 
 
+def reference_cost_and_grad(table, p, z):
+    """Social cost and gradient of rows of stacked path flows, in the
+    row-major arithmetic: ``(rows, 2, roads)`` link flows, the latency and
+    its partials written out from one congestion ratio, and the gradient's
+    stacked per-class link terms mapped back by one matmul. The kernel must
+    match it bit for bit."""
+    n = table.total_paths
+    xy = z.reshape(len(z), 2, n) @ table.incidence.T
+    x, y = xy[:, 0], xy[:, 1]
+    t = x + y
+    alpha = y / np.where(t > 0, t, 1.0)
+    human = 1.0 - alpha
+    r = p.h_d * x + (p.hbar_d - p.mixed_d * (1.0 - alpha)) * y
+    c = p.freeflow * (1.0 + p.rho * r ** p.sigma)
+    base = p.slope * r ** p.sigma_less1
+    dcdx = base * (p.h_d - p.mixed_d * alpha * alpha)
+    dcdy = base * (p.hbar_d - p.mixed_d * human * human)
+    if p.any_affine:
+        c = np.where(p.affine, p.ax * x + p.ay * y + p.a0, c)
+        dcdx, dcdy = np.where(p.affine, p.ax, dcdx), np.where(p.affine, p.ay, dcdy)
+    grad = np.stack([c + t * dcdx, c + t * dcdy], axis=1) @ table.incidence
+    return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
+
+
 @functools.cache
 def reference_compositions(n, parts):
     """The nonnegative integer tuples of length ``parts`` summing to ``n``,
@@ -62,7 +88,7 @@ def reference_compositions(n, parts):
 
 def reference_brute_force(net, resolution):
     """Brute force that gathers every grid point's stacked path flows and
-    evaluates them through ``_cost_and_grad``, 200,000 points at a time.
+    evaluates them through ``reference_cost_and_grad``, 200,000 points at a time.
     Returns the stacked path flows of the first lowest-cost grid point."""
     steps = _grid_steps(resolution)
     table = mar.path_table(net)
@@ -80,7 +106,7 @@ def reference_brute_force(net, resolution):
     for lo in range(0, n_points, 200_000):
         idx = np.unravel_index(np.arange(lo, min(lo + 200_000, n_points)), sizes)
         pts = stacked[np.stack(idx, axis=1) + first_rows][:, table.valid]
-        costs = _cost_and_grad(table, params, pts)[0]
+        costs = reference_cost_and_grad(table, params, pts)[0]
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost, best_point = float(costs[j]), pts[j].copy()
@@ -95,6 +121,7 @@ ADMITTED_TOPOLOGIES = {
     "triangle": ([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t")]),
     "two-od-shared": ([("s", "a"), ("a", "t"), ("s", "t")], [("s", "t"), ("a", "t")]),
     "three-od-chain": ([("s", "a"), ("a", "b")], [("s", "a"), ("a", "b"), ("s", "b")]),
+    "two-od-one-and-two": ([("s", "a"), ("a", "t"), ("a", "t")], [("s", "a"), ("a", "t")]),
 }
 
 
@@ -158,6 +185,56 @@ class TestSolveOptimum:
 
     def test_numpy_integer_seed_accepted(self):
         assert mar.OptimumConfig(seed=np.int64(3), restarts=np.int32(2)).seed == 3
+
+
+class TestKernel:
+    @staticmethod
+    def rows(rng, table, count=40):
+        """Nonnegative rows of stacked path flows, some with whole blocks or
+        rows at zero flow."""
+        z = rng.uniform(0.0, 3.0, size=(count, 2 * table.total_paths))
+        z[rng.random(z.shape) < 0.3] = 0.0
+        z[:3] = 0.0
+        z[3, :table.total_paths] = 0.0  # pure autonomous
+        z[4, table.total_paths:] = 0.0  # pure human
+        return z
+
+    @pytest.mark.parametrize("model", list(mar.CapacityModel))
+    def test_matches_the_row_major_reference_bit_for_bit(self, rng, model):
+        nets = [random_network(rng) for _ in range(6)]
+        nets = [mar.Network(net.nodes, tuple(dataclasses.replace(r, capacity_model=model)
+                                             for r in net.roads), net.od_pairs)
+                for net in nets]
+        # padded multi-OD tables with a zero-demand block, and affine roads
+        nets += [separate_parallel([1, 3, 2], [(1.0, 0.0), (0.5, 1.5), (0.0, 0.0)]),
+                 zero_demand_beside_asymmetric(), mar.demo_scenario("monotonicity").network]
+        for net in nets:
+            table = mar.path_table(net)
+            params = _net_arrays(net)
+            z = self.rows(rng, table)
+            cost, grad = _cost_and_grad(table, params, z)
+            expect_cost, expect_grad = reference_cost_and_grad(table, params, z)
+            np.testing.assert_array_equal(cost, expect_cost)
+            np.testing.assert_array_equal(grad, expect_grad)
+
+    def test_descent_makes_one_kernel_call_per_backtracking_batch(self, rng, monkeypatch):
+        calls = {"kernel": 0, "project": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(optimum, "_cost_and_grad", counted("kernel", _cost_and_grad))
+        monkeypatch.setattr(optimum, "_project", counted("project", _project))
+        net = random_network(np.random.default_rng(11))
+        table = mar.path_table(net)
+        z = np.array([table.random_start(rng) for _ in range(6)])
+        iterations = _descend(table, _net_arrays(net), z, mar.OptimumConfig())[3]
+        # each batch projects its tries once; the stationarity measure projects once more
+        batches = calls["project"] - 1
+        assert batches > iterations.max()  # some iteration needed a second batch
+        assert calls["kernel"] == 1 + batches
 
 
 class TestBatchedDescent:
@@ -390,6 +467,34 @@ class TestBruteForceOptimum:
             table = mar.path_table(net)
             resolution = 0.05 if max(b.stop - b.start for b in table.blocks) >= 3 else 0.01
             self.assert_matches_reference(net, resolution)
+
+    def test_first_of_tied_points_wins_across_a_slab_boundary(self):
+        # dyadic demands and spacing, unit headways and lengths: the cost
+        # depends on road 1's total flow alone and is exact, so every point
+        # with human share i/256 and auto share (2304 - 8i)/2048 on road 1
+        # ties; the first, i = 224, ends a slab of 8192 // 513 rows
+        net = symmetric_pair(demand_human=2.0, demand_auto=0.25)
+        width = optimum._SLAB // 513
+        assert (224 + 1) % width == 0
+        res = mar.brute_force_optimum(net, 1 / 512)
+        assert res.link_flows.pairs()[0] == (224 / 256, 0.25)
+        self.assert_matches_reference(net, 1 / 512)
+
+    def test_slabs_stay_bounded_at_the_finest_admitted_grid(self, monkeypatch):
+        # (1, 2) paths at resolution 1/5150: 5151**2 = 26.5 M points, all in
+        # one piece of the leading block's axis
+        net = admitted_network(np.random.default_rng(3), "two-od-one-and-two", False)
+        largest = []
+
+        def recording(params, x, y):
+            shape = np.broadcast_shapes(x.shape, y.shape)
+            largest.append(math.prod(shape))
+            return np.zeros(shape)
+        monkeypatch.setattr(optimum, "_latencies", recording)
+        res = mar.brute_force_optimum(net, 1 / 5150)
+        assert res.iterations == 5151 ** 2 == optimum.MAX_GRID_POINTS
+        assert max(largest) <= optimum._SLAB * net.n_roads
+        assert sum(largest) == res.iterations * net.n_roads
 
     @pytest.mark.parametrize("net, resolution", [
         (symmetric_pair(), 0.1),  # ties: the first grid point in order wins

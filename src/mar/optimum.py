@@ -290,10 +290,10 @@ def brute_force_optimum(net: Network, resolution: float = 1e-2) -> SolveResult:
     while k > 0 and inner * sizes[k] <= _SLAB:
         inner *= sizes[k]
         k -= 1
-    width = max(1, _SLAB // inner)
+    width = _SLAB // inner
     axes = [f.reshape(-1, *[1] * (len(sizes) - 1 - b), len(params.d))
             for b, f in enumerate(flows)]
-    best_cost, best_index = np.inf, None
+    best_cost, best_index = np.inf, (0,) * len(sizes)
     for outer in itertools.product(*map(range, sizes[:k])):
         for lo in range(0, sizes[k], width):
             link = [f[i] for f, i in zip(flows, outer)] + [axes[k][lo:lo + width]] + axes[k + 1:]

@@ -496,6 +496,18 @@ class TestBruteForceOptimum:
         assert max(largest) <= optimum._SLAB * net.n_roads
         assert sum(largest) == res.iterations * net.n_roads
 
+    @pytest.mark.parametrize("demand_auto", [0.0, 30.0])
+    def test_grid_point_zero_when_every_point_overflows(self, demand_auto):
+        # sigma = 400 with at least 50 on one road overflows r ** sigma at
+        # every split, so no point beats the starting cost of inf
+        net = symmetric_pair(sigma=400.0, demand_human=100.0, demand_auto=demand_auto)
+        table = mar.path_table(net)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = mar.brute_force_optimum(net, 0.1)
+        first = [_compositions(10, 2)[0] * demand / 10 for demand in table.totals]
+        np.testing.assert_array_equal(table.arrays(res.flows), np.concatenate(first))
+        assert res.social_cost == np.inf
+
     @pytest.mark.parametrize("net, resolution", [
         (symmetric_pair(), 0.1),  # ties: the first grid point in order wins
         (separate_parallel([1, 1, 1], [(1.0, 0.5), (0.0, 2.0), (1.5, 1.5)]), 0.01),

@@ -3,14 +3,15 @@
 Run from the root of a checkout::
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_prN.json \
-        [--pairs 10] [--seconds 40] [--seed N] [--workloads fuzz-poa cli-sweep bounds-props]
+        [--pairs 10] [--seed N] [--workloads fuzz-poa cli-sweep bounds-props]
 
 The parent side runs ``bench/run.py`` in a ``git archive`` of ``REV``; the
 change side runs it in this checkout's working tree, so both sides run their
-own ``bench/`` and ``src/``. Pair i runs the parent first when i is even and
-the change first when it is odd; within a pair the workloads run in the order
-given. The output is rewritten after every pair, so an interrupted run keeps
-the pairs it finished.
+own ``bench/`` and ``src/``, for the ``run_seconds`` that ``BENCHMARK.json``
+declares. Pair i runs the parent first when i is even and the change first
+when it is odd; within a pair the workloads run in the order given. The output
+is rewritten after every pair, so an interrupted run keeps the pairs it
+finished. Its ``label`` is the output file's name without its suffix.
 
 Per workload and end-to-end metric (as ``BENCHMARK.json`` declares them) the
 file holds each side's runs, median and quartiles (``numpy.percentile``,
@@ -120,17 +121,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--label", default=None)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workloads", nargs="+", default=None,
                         help="default: every workload BENCHMARK.json declares")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = declared["run_seconds"] if args.seconds is None else args.seconds
+    seconds = declared["run_seconds"]
     workloads = args.workloads or [w["name"] for w in declared["workloads"]]
     parent_commit = git("rev-parse", "--short", args.parent)
     runs = {w: {"parent": [], "change": []} for w in workloads}
@@ -143,7 +141,7 @@ def main(argv=None) -> int:
                     runs[workload][side].append(run_once(trees[side], workload, seconds,
                                                          args.seed))
             report = {
-                "label": args.label or args.out.stem,
+                "label": args.out.stem,
                 "parent_commit": parent_commit,
                 "change": f"working tree on {git('rev-parse', '--short', 'HEAD')}",
                 "machine": machine(),

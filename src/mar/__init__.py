@@ -43,7 +43,6 @@ from .equilibrium import (
     wardrop_gap,
 )
 from .network import (
-    AffineMixed,
     CapacityModel,
     FeasibilityReport,
     FlowVector,
@@ -91,7 +90,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "AffineMixed", "AggregateCost", "BoundsReport", "CapacityModel", "DEMO_NAMES",
+    "AggregateCost", "BoundsReport", "CapacityModel", "DEMO_NAMES",
     "EquilibriumConfig", "Experiment", "FeasibilityReport", "FlowVector", "Network",
     "ODPair", "OptimumConfig", "Path", "PathFlowAssignment", "PathTable", "PoAOutcome",
     "Road", "Scenario", "SolveResult", "SweepSpec", "TightnessPoint",

@@ -44,23 +44,13 @@ def xi(sigma: float) -> float:
     return sigma * (sigma + 1.0) ** (-(sigma + 1.0) / sigma)
 
 
-def _require_bpr(net: Network, what: str) -> None:
-    for road in net.roads:
-        if not road.is_bpr:
-            raise errors.UnsupportedCostKindError(
-                f"{what} requires BPR-form roads; road {road.rid} is affine"
-            )
-
-
 def degree_of_asymmetry(net: Network) -> float:
     """Maximum headway ratio over all roads, in either direction. Always >= 1."""
-    _require_bpr(net, "degree_of_asymmetry")
     return max(road.headway_ratio for road in net.roads)
 
 
 def max_degree(net: Network) -> float:
     """Maximum polynomial degree over the network's roads."""
-    _require_bpr(net, "max_degree")
     return max(road.sigma for road in net.roads)
 
 
@@ -83,8 +73,7 @@ class BoundsReport:
 
 
 def poa_bounds(net: Network) -> BoundsReport:
-    """Closed-form price-of-anarchy and bicriteria bounds for a BPR network."""
-    _require_bpr(net, "poa_bounds")
+    """Closed-form price-of-anarchy and bicriteria bounds for a network."""
     k = degree_of_asymmetry(net)
     sigma = max_degree(net)
     x = xi(sigma)
@@ -141,8 +130,6 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
     The anchor is the equilibrium flow of whichever class occupies more road
     space per vehicle on this road.
     """
-    if not road.is_bpr:
-        raise errors.UnsupportedCostKindError("aggregate_cost requires a BPR road")
     if not (math.isfinite(x_eq) and math.isfinite(y_eq)):
         raise errors.InvalidParameterError(
             f"equilibrium flows must be finite, got ({x_eq}, {y_eq})")
@@ -155,8 +142,6 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
 
 
 def _check_reference(road: Road, v: float, w: float) -> None:
-    if not road.is_bpr:
-        raise errors.UnsupportedCostKindError("beta requires a BPR road")
     if not (math.isfinite(v) and math.isfinite(w)):
         raise errors.InvalidParameterError(f"reference flows must be finite, got ({v}, {w})")
     if v < 0 or w < 0:
@@ -228,7 +213,6 @@ def beta_network_estimate(net: Network, samples: int = 256, seed: int = 0) -> fl
     Roads with zero flow contribute zero (the 0/0 convention). The analytic
     cap ``k * xi(sigma)`` always dominates the estimate.
     """
-    _require_bpr(net, "beta_network_estimate")
     _check_integer("samples", samples, 1)
     _check_integer("seed", seed, 0)
     sigma = max_degree(net)
@@ -267,8 +251,6 @@ def verify_lemma_agg_opt(road: Road, x: float, y: float) -> bool:
     Relates a mixed composition's cost to the worse single-class cost of the
     same total flow, with relative slack 1e-12.
     """
-    if not road.is_bpr:
-        raise errors.UnsupportedCostKindError("verify_lemma_agg_opt requires a BPR road")
     _check_flow_pair(x, y)
     t = x + y
     mixed, human, auto = _latencies(_arrays_for((road,)), np.array([x, t, 0.0]),
@@ -312,7 +294,6 @@ def empirical_poa(
     can overestimate the optimum cost and therefore only ever lowers the
     reported ratio. Flags record any uncertainty.
     """
-    _require_bpr(net, "empirical_poa")
     opt_cfg = opt_cfg or OptimumConfig()
     eq = solve_equilibrium(net, eq_cfg)
     opt, oracle = _best_optimum(net, opt_cfg)

@@ -5,7 +5,9 @@ congestion ratio ``r = (x+y) / m(x,y)``. The capacity ``m`` is the road length
 ``d`` over the average road space per vehicle, which mixes the non-platooned
 headway ``h`` and the platooned headway ``hbar`` by the autonomy level
 ``alpha = y/(x+y)``: with weight ``alpha`` under model 1, and ``alpha**2``
-under model 2, where a vehicle platoons only behind an autonomous one.
+under model 2, where a vehicle platoons only behind an autonomous one. This is
+the one delay kind: with ``sigma`` 1 under model 1 it is the affine delay
+``freeflow + freeflow * rho * (h*x + hbar*y) / d``.
 
 The vectorized kernel writes that ratio, ``(x+y) * average_spacing / d``,
 once for both models:
@@ -52,11 +54,6 @@ class _RoadArrays:
     mixed_d: np.ndarray  # m2 * (hbar - h) / d
     slope: np.ndarray    # freeflow * rho * sigma
     sigma_less1: np.ndarray
-    affine: np.ndarray   # bool mask
-    any_affine: bool
-    ax: np.ndarray
-    ay: np.ndarray
-    a0: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
@@ -64,20 +61,15 @@ def _arrays_for(roads: tuple[Road, ...]) -> _RoadArrays:
     freeflow, rho, sigma, h, hbar, d = (
         np.array([getattr(r, name) for r in roads], dtype=float)
         for name in ("freeflow", "rho", "sigma", "headway", "platoon_headway", "length"))
-    ax, ay, a0 = (
-        np.array([getattr(r.affine, name) if r.affine else 0.0 for r in roads], dtype=float)
-        for name in ("coef_human", "coef_auto", "constant"))
     m2 = np.array([r.capacity_model is CapacityModel.MODEL2 for r in roads], dtype=float)
-    affine = np.array([r.affine is not None for r in roads])
     fields = dict(
         freeflow=freeflow, rho=rho, sigma=sigma, h=h, hbar=hbar, d=d,
         h_d=h / d, hbar_d=hbar / d, mixed_d=m2 * (hbar - h) / d,
         slope=freeflow * rho * sigma, sigma_less1=sigma - 1.0,
-        affine=affine, ax=ax, ay=ay, a0=a0,
     )
     for a in fields.values():
         a.setflags(write=False)
-    return _RoadArrays(**fields, any_affine=bool(affine.any()))
+    return _RoadArrays(**fields)
 
 
 def _net_arrays(net: Network) -> _RoadArrays:
@@ -93,16 +85,13 @@ def _congestion(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     return p.h_d * x + (p.hbar_d - p.mixed_d * human) * y, alpha, human, t
 
 
-def _latency_at(p: _RoadArrays, x: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Latency per road given the congestion ratio ``r`` at flows (x, y)."""
-    bpr = p.freeflow * (1.0 + p.rho * r ** p.sigma)
-    if not p.any_affine:
-        return bpr
-    return np.where(p.affine, p.ax * x + p.ay * y + p.a0, bpr)
+def _latency_at(p: _RoadArrays, r: np.ndarray) -> np.ndarray:
+    """Latency per road given the congestion ratio ``r``."""
+    return p.freeflow * (1.0 + p.rho * r ** p.sigma)
 
 
 def _latencies(p: _RoadArrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _latency_at(p, x, y, _congestion(p, x, y)[0])
+    return _latency_at(p, _congestion(p, x, y)[0])
 
 
 def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
@@ -112,10 +101,7 @@ def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     base = p.slope * r ** p.sigma_less1
     dcdx = base * (p.h_d - p.mixed_d * alpha * alpha)
     dcdy = base * (p.hbar_d - p.mixed_d * human * human)
-    if p.any_affine:
-        dcdx = np.where(p.affine, p.ax, dcdx)
-        dcdy = np.where(p.affine, p.ay, dcdy)
-    return _latency_at(p, x, y, r), dcdx, dcdy, t
+    return _latency_at(p, r), dcdx, dcdy, t
 
 
 def _check_flow_pair(x: float, y: float) -> None:

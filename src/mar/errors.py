@@ -41,10 +41,6 @@ class ZeroCostError(MarError):
     """Social cost is zero while demand is positive; gap ratios are undefined."""
 
 
-class UnsupportedCostKindError(MarError):
-    """Operation requires BPR-form roads but the network contains affine ones."""
-
-
 class InvalidSigmaError(MarError):
     """Polynomial degree below 1."""
 

@@ -1,7 +1,9 @@
 """Road networks, travel demands, and the path-based routing space.
 
 A network is a directed multigraph of roads plus OD pairs carrying separate
-human-driven and autonomous flow demands. Routings are represented two ways:
+human-driven and autonomous flow demands. Every road has the one delay kind of
+``mar.costs``, BPR-form with a headway-set capacity. Routings are represented
+two ways:
 
 * link flows: one (human, autonomous) pair per road, interleaved in a single
   vector ``[x_1, y_1, x_2, y_2, ...]`` of length ``2N``;
@@ -43,6 +45,10 @@ Path = tuple[int, ...]
 #: stops with ``TooLargeError``; a 5x5 grid's two corner-to-corner pairs have 17,024.
 MAX_PATHS = 100_000
 
+#: Relative tolerance of the demand totals and flow conservation that
+#: ``validate_assignment`` and ``check_feasible`` check.
+FLOW_TOL = 1e-9
+
 
 def _check_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
@@ -71,35 +77,14 @@ class CapacityModel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AffineMixed:
-    """Affine road latency ``coef_human*x + coef_auto*y + constant``.
-
-    Exists for solver stress tests and the two-road non-monotonicity demo;
-    the asymmetry/degree bound machinery rejects networks containing it.
-    """
-
-    coef_human: float
-    coef_auto: float
-    constant: float
-
-    def __post_init__(self) -> None:
-        _check_finite("affine cost", coef_human=self.coef_human, coef_auto=self.coef_auto,
-                      constant=self.constant)
-        if min(self.coef_human, self.coef_auto, self.constant) < 0:
-            raise errors.InvalidParameterError(
-                "affine cost coefficients must be nonnegative, got "
-                f"({self.coef_human}, {self.coef_auto}, {self.constant})"
-            )
-
-
-@dataclass(frozen=True)
 class Road:
     """One directed road.
 
     ``headway`` is the road length occupied by a non-platooned vehicle at
     nominal speed, ``platoon_headway`` by a platooned one. Neither is assumed
-    larger than the other. When ``affine`` is set it replaces the BPR-form
-    delay and the physical parameters only have to satisfy positivity.
+    larger than the other. The delay is BPR-form with a capacity set by the
+    headways (see ``mar.costs``); with ``sigma`` 1 under model 1 it is affine
+    in the two class flows.
     """
 
     rid: int
@@ -112,7 +97,6 @@ class Road:
     rho: float = 0.15
     sigma: float = 4.0
     capacity_model: CapacityModel = CapacityModel.MODEL1
-    affine: AffineMixed | None = None
 
     def __post_init__(self) -> None:
         _check_finite(f"road {self.rid}", length=self.length, headway=self.headway,
@@ -134,10 +118,6 @@ class Road:
             raise errors.InvalidParameterError(
                 f"road {self.rid}: capacity_model must be a CapacityModel"
             )
-
-    @property
-    def is_bpr(self) -> bool:
-        return self.affine is None
 
     @property
     def headway_ratio(self) -> float:
@@ -368,18 +348,18 @@ def _simple_paths(adjacency, origin: str, destination: str, budget: int) -> tupl
     return tuple(out)
 
 
-def validate_assignment(net: Network, pf: PathFlowAssignment, tol: float = 1e-9) -> np.ndarray:
+def validate_assignment(net: Network, pf: PathFlowAssignment) -> np.ndarray:
     """Raise unless ``pf`` is a valid assignment for ``net``; return its
     stacked path flows.
 
     Checks what ``PathTable.arrays`` checks (enumerated paths, finite
     nonnegative flows) and per-class demand totals within relative tolerance
-    ``tol``.
+    ``FLOW_TOL``.
     """
     table = path_table(net)
     z = table.arrays(pf)
     sums = np.where(table.valid, z[table.columns], 0.0).sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - table.totals) > tol * (1.0 + table.totals))
+    bad = np.flatnonzero(np.abs(sums - table.totals) > FLOW_TOL * (1.0 + table.totals))
     if bad.size:
         n_od = len(table.blocks)
         b = int(bad[0])
@@ -422,7 +402,7 @@ def _flow_array(net: Network, z) -> np.ndarray:
     return arr
 
 
-def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
+def check_feasible(net: Network, z) -> FeasibilityReport:
     """Decide whether link flows ``z`` are realizable by some valid assignment.
 
     Runs a per-node, per-class flow-conservation check against the OD demands
@@ -450,7 +430,7 @@ def check_feasible(net: Network, z, tol: float = 1e-9) -> FeasibilityReport:
             balance[road.head] -= flows[i]
         residual = max(abs(balance[n] - expected[n]) for n in net.nodes)
         worst = max(worst, residual)
-        if residual > tol * scale:
+        if residual > FLOW_TOL * scale:
             return FeasibilityReport(False, worst,
                                      f"{cls} conservation residual {residual:.3g}")
         if not _decomposes(table, flows, demands):

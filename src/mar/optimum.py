@@ -323,11 +323,9 @@ def grid_error_bound(net: Network, resolution: float) -> float:
     t_bar = float(table.demand_human.sum()) + float(table.demand_auto.sum())
     big = np.maximum(params.h, params.hbar)
     r_max = big * t_bar / params.d
-    c_max = _latency_at(params, t_bar, t_bar, r_max)
+    c_max = _latency_at(params, r_max)
     dc_max = params.slope * np.where(r_max > 0, r_max ** params.sigma_less1, 1.0) \
         * 2.0 * big / params.d
-    if params.any_affine:
-        dc_max = np.where(params.affine, np.maximum(params.ax, params.ay), dc_max)
     per_road = c_max + t_bar * dc_max
     # max over paths of the summed per-road bound
     grad_bound = float((per_road @ table.incidence).max())

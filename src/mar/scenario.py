@@ -18,7 +18,7 @@ from typing import Any, Mapping
 from . import errors
 from .bounds import _check_probe_levels
 from .equilibrium import EquilibriumConfig
-from .network import AffineMixed, CapacityModel, Network, ODPair, Road
+from .network import CapacityModel, Network, ODPair, Road
 from .optimum import OptimumConfig
 
 
@@ -149,9 +149,18 @@ def _section(data, where: str, kinds: Mapping) -> dict:
     return _fields(data, where, kinds)
 
 
+def _record(data, where: str, kinds: Mapping) -> dict:
+    """The fields of object ``data``, every field of ``kinds`` required."""
+    data = _require_mapping(data, where)
+    _check_keys(data, set(kinds), where)
+    return {key: _get(data, key, where, kind) for key, kind in kinds.items()}
+
+
 _ROAD_FIELDS = {"length": float, "headway": float, "platoon_headway": float,
                 "freeflow": float, "rho": float, "sigma": float,
                 "capacity_model": CapacityModel}
+_OD_FIELDS = {"origin": str, "destination": str, "demand_human": float, "demand_auto": float}
+_SWEEP_FIELDS = {"parameter": str, "start": float, "stop": float, "steps": int}
 _EQUILIBRIUM_FIELDS = {"max_iterations": int, "gap_tolerance": float}
 _OPTIMUM_FIELDS = {"restarts": int, "max_iterations": int, "step_tolerance": float,
                    "grid_resolution": float, "seed": int}
@@ -161,21 +170,11 @@ _TIGHTNESS_FIELDS = {"ks": tuple[float, ...], "sigma": float,
 
 def _road_from_mapping(data: Mapping, where: str) -> Road:
     data = _require_mapping(data, where)
-    _check_keys(data, {"id", "tail", "head", "affine", *_ROAD_FIELDS}, where)
-    affine = None
-    if data.get("affine") is not None:
-        aff = _require_mapping(data["affine"], f"{where}.affine")
-        _check_keys(aff, {"coef_human", "coef_auto", "constant"}, f"{where}.affine")
-        affine = AffineMixed(
-            coef_human=_get(aff, "coef_human", f"{where}.affine", float),
-            coef_auto=_get(aff, "coef_auto", f"{where}.affine", float),
-            constant=_get(aff, "constant", f"{where}.affine", float),
-        )
+    _check_keys(data, {"id", "tail", "head", *_ROAD_FIELDS}, where)
     return Road(
         rid=_get(data, "id", where, int),
         tail=_get(data, "tail", where, str),
         head=_get(data, "head", where, str),
-        affine=affine,
         **_fields(data, where, _ROAD_FIELDS),
     )
 
@@ -188,15 +187,15 @@ def network_from_mapping(data: Mapping) -> Network:
         {"nodes": ["s", "t"],
          "roads": [{"id": 1, "tail": "s", "head": "t", "length": 1.0,
                     "headway": 2.0, "platoon_headway": 1.0, "freeflow": 1.0,
-                    "rho": 1.0, "sigma": 1.0, "capacity_model": "model1",
-                    "affine": {"coef_human": 3, "coef_auto": 1, "constant": 1}}],
+                    "rho": 1.0, "sigma": 1.0, "capacity_model": "model1"}],
          "od_pairs": [{"origin": "s", "destination": "t",
                        "demand_human": 1.0, "demand_auto": 1.0}]}
 
     ``length``, ``headway``, ``platoon_headway``, ``freeflow``, ``rho``,
-    ``sigma``, ``capacity_model`` and ``affine`` are optional with the Road
-    defaults. Units are unchecked scalars; keeping them consistent is the
-    scenario author's responsibility. Exported as ``mar.build_network``.
+    ``sigma`` and ``capacity_model`` are optional with the Road defaults;
+    every other field is required. Units are unchecked scalars; keeping them
+    consistent is the scenario author's responsibility. Exported as
+    ``mar.build_network``.
     """
     data = _require_mapping(data, "network")
     _check_keys(data, {"nodes", "roads", "od_pairs"}, "network")
@@ -208,18 +207,11 @@ def network_from_mapping(data: Mapping) -> Network:
         _road_from_mapping(r, f"network.roads[{i}]")
         for i, r in enumerate(_get(data, "roads", "network", list))
     )
-    od_pairs = []
-    for i, od in enumerate(_get(data, "od_pairs", "network", list)):
-        where = f"network.od_pairs[{i}]"
-        od = _require_mapping(od, where)
-        _check_keys(od, {"origin", "destination", "demand_human", "demand_auto"}, where)
-        od_pairs.append(ODPair(
-            origin=_get(od, "origin", where, str),
-            destination=_get(od, "destination", where, str),
-            demand_human=_get(od, "demand_human", where, float),
-            demand_auto=_get(od, "demand_auto", where, float),
-        ))
-    return Network(nodes=tuple(nodes), roads=roads, od_pairs=tuple(od_pairs))
+    od_pairs = tuple(
+        ODPair(**_record(od, f"network.od_pairs[{i}]", _OD_FIELDS))
+        for i, od in enumerate(_get(data, "od_pairs", "network", list))
+    )
+    return Network(nodes=tuple(nodes), roads=roads, od_pairs=od_pairs)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -247,14 +239,7 @@ def parse_scenario(text: str) -> Scenario:
 
     sweep = None
     if data.get("sweep") is not None:
-        sw = _require_mapping(data["sweep"], "sweep")
-        _check_keys(sw, {"parameter", "start", "stop", "steps"}, "sweep")
-        sweep = SweepSpec(
-            parameter=_get(sw, "parameter", "sweep", str),
-            start=_get(sw, "start", "sweep", float),
-            stop=_get(sw, "stop", "sweep", float),
-            steps=_get(sw, "steps", "sweep", int),
-        )
+        sweep = SweepSpec(**_record(data["sweep"], "sweep", _SWEEP_FIELDS))
         _validate_sweep(sweep)
     elif experiment is Experiment.SWEEP:
         raise errors.SchemaError("scenario: sweep experiment requires a 'sweep' section")
@@ -299,11 +284,12 @@ def _validate_sweep(sweep: SweepSpec) -> None:
         raise errors.InvalidSweepParameterError("demand_scale values must be > 0")
 
 
-# Embedded demo scenarios. "monotonicity" is the two-road affine instance whose
-# cost operator has an asymmetric, indefinite Jacobian; "bicriteria-2.61" is a
-# k=3, sigma=4 network whose demand-inflation factor lands near 2.605;
-# "classic-4-3" is a symmetric network recovering the affine 4/3 bound;
-# "tightness-k-sweep" runs the order-optimality probe.
+# Embedded demo scenarios. "monotonicity" is two sigma = 1 model-1 roads with
+# costs 3x+y+1 and 3x+2y+1, whose cost operator has an asymmetric, indefinite
+# Jacobian; "bicriteria-2.61" is a k=3, sigma=4 network whose demand-inflation
+# factor lands near 2.605; "classic-4-3" is a symmetric sigma = 1 network
+# recovering the classic 4/3 bound; "tightness-k-sweep" runs the
+# order-optimality probe.
 _DEMOS: dict[str, dict[str, Any]] = {
     "classic-4-3": {
         "schema_version": "1",
@@ -328,10 +314,10 @@ _DEMOS: dict[str, dict[str, Any]] = {
         "network": {
             "nodes": ["s", "t"],
             "roads": [
-                {"id": 1, "tail": "s", "head": "t",
-                 "affine": {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}},
-                {"id": 2, "tail": "s", "head": "t",
-                 "affine": {"coef_human": 3.0, "coef_auto": 2.0, "constant": 1.0}},
+                {"id": 1, "tail": "s", "head": "t", "headway": 3.0,
+                 "platoon_headway": 1.0, "rho": 1.0, "sigma": 1.0},
+                {"id": 2, "tail": "s", "head": "t", "headway": 3.0,
+                 "platoon_headway": 2.0, "rho": 1.0, "sigma": 1.0},
             ],
             "od_pairs": [{"origin": "s", "destination": "t",
                           "demand_human": 2.0, "demand_auto": 3.0}],

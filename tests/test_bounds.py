@@ -50,11 +50,6 @@ class TestDegreeOfAsymmetry:
         net = parallel_net([dict(headway=6.0, platoon_headway=2.0, sigma=1.0)])
         assert mar.degree_of_asymmetry(net) == 3.0
 
-    def test_affine_rejected(self):
-        net = parallel_net([dict(affine=mar.AffineMixed(1.0, 1.0, 1.0))])
-        with pytest.raises(errors.UnsupportedCostKindError):
-            mar.degree_of_asymmetry(net)
-
 
 class TestPoABounds:
     def test_classic_four_thirds(self):
@@ -62,6 +57,12 @@ class TestPoABounds:
         assert abs(report.bound_thm1 - 4.0 / 3.0) <= 1e-12
         assert report.bound_thm2 is not None
         assert abs(report.bound_thm2 - report.bound_thm1) <= 1e-12
+
+    def test_monotonicity_demo_network(self):
+        # its roads have headways (3, 1) and (3, 2) at sigma 1: both bounds are 4
+        report = mar.poa_bounds(mar.demo_scenario("monotonicity").network)
+        assert (report.k, report.sigma) == (3.0, 1.0)
+        assert report.bound_thm1 == report.bound_thm2 == report.bound_combined == 4.0
 
     def test_k2_worked_values(self):
         net = parallel_net(
@@ -196,11 +197,6 @@ class TestAggregateCost:
             grid = np.linspace(0, 4, 200)
             values = agg(grid)
             assert np.all(np.diff(values) >= -1e-12)
-
-    def test_affine_rejected(self):
-        road = mar.Road(rid=1, tail="s", head="t", affine=mar.AffineMixed(1, 1, 1))
-        with pytest.raises(errors.UnsupportedCostKindError):
-            mar.aggregate_cost(road, 1.0, 1.0)
 
 
 def reference_beta_road_numeric(road, v, w, sigma_use):
@@ -411,10 +407,15 @@ class TestEmpiricalPoA:
             if outcome.equilibrium.converged:
                 assert outcome.ratio <= 4.0 / 3.0 + 2e-3
 
-    def test_affine_rejected(self):
-        net = parallel_net([dict(affine=mar.AffineMixed(1, 1, 1))])
-        with pytest.raises(errors.UnsupportedCostKindError):
-            mar.empirical_poa(net)
+    def test_monotonicity_demo_within_its_bound(self):
+        # the optimum sends humans to road 2 (cost 7) and autos to road 1
+        # (cost 4): 2*7 + 3*4 = 26
+        net = mar.demo_scenario("monotonicity").network
+        outcome = mar.empirical_poa(net)
+        assert outcome.opt_oracle == "brute-force"
+        assert outcome.flags == ()
+        assert outcome.optimum.social_cost == pytest.approx(26.0, rel=1e-12)
+        assert 1.0 <= outcome.ratio <= mar.poa_bounds(net).bound_combined
 
 
 def test_best_optimum_does_not_swallow_the_path_cap():

@@ -15,7 +15,8 @@ import mar
 from mar import errors
 from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
 from mar.scenario import (
-    _DEMOS, _EQUILIBRIUM_FIELDS, _OPTIMUM_FIELDS, Scenario, parse_scenario)
+    _DEMOS, _EQUILIBRIUM_FIELDS, _OD_FIELDS, _OPTIMUM_FIELDS, _SWEEP_FIELDS, Scenario,
+    SweepSpec, parse_scenario)
 
 from factories import grid_net, symmetric_pair
 
@@ -133,10 +134,21 @@ class TestParseScenario:
             parse_scenario(text)
 
     def test_schema_sections_match_the_config_fields(self):
-        # a solver option lands in its config and its schema section together
+        # a solver option lands in its config and its schema section together,
+        # and an OD pair or sweep record names exactly its type's fields
         for kinds, config in ((_EQUILIBRIUM_FIELDS, mar.EquilibriumConfig),
-                              (_OPTIMUM_FIELDS, mar.OptimumConfig)):
+                              (_OPTIMUM_FIELDS, mar.OptimumConfig),
+                              (_OD_FIELDS, mar.ODPair), (_SWEEP_FIELDS, SweepSpec)):
             assert set(kinds) == {f.name for f in dataclasses.fields(config)}
+
+    @pytest.mark.parametrize("value", [
+        {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}, None])
+    def test_affine_road_is_a_schema_error(self, value):
+        data = json.loads(scenario_text())
+        data["network"]["roads"][0]["affine"] = value
+        with pytest.raises(errors.SchemaError,
+                           match=r"network\.roads\[0\]: unknown field 'affine'"):
+            parse_scenario(json.dumps(data))
 
     @pytest.mark.parametrize("key, value", [("step_rule", "msa"), ("seed", 1)])
     def test_removed_equilibrium_keys_are_schema_errors(self, tmp_path, capsys, key, value):
@@ -170,8 +182,8 @@ FULL = {
             {"id": 1, "tail": "s", "head": "t", "length": 1.0, "headway": 2.0,
              "platoon_headway": 1.0, "freeflow": 1.0, "rho": 1.0, "sigma": 1.0,
              "capacity_model": "model2"},
-            {"id": 2, "tail": "s", "head": "t",
-             "affine": {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}},
+            {"id": 2, "tail": "s", "head": "t", "headway": 3.0, "platoon_headway": 1.0,
+             "rho": 1.0, "sigma": 1.0},
         ],
     },
     "equilibrium": {"max_iterations": 50, "gap_tolerance": 1e-4},

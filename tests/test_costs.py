@@ -16,10 +16,11 @@ def bpr_road(**kw):
 
 
 def affine_demo_net():
-    """Two parallel roads with the affine costs 3x+y+1 and 3x+2y+1."""
+    """Two parallel sigma = 1 model-1 roads whose costs are the affine 3x+y+1
+    and 3x+2y+1."""
     return parallel_net(
-        [dict(affine=mar.AffineMixed(3.0, 1.0, 1.0)),
-         dict(affine=mar.AffineMixed(3.0, 2.0, 1.0))],
+        [dict(headway=3.0, platoon_headway=1.0, rho=1.0, sigma=1.0),
+         dict(headway=3.0, platoon_headway=2.0, rho=1.0, sigma=1.0)],
         demand_human=2.0, demand_auto=3.0)
 
 
@@ -84,8 +85,17 @@ class TestLinkCost:
         assert mar.link_cost(road, 0.0, 0.0) == 7.0
 
     def test_affine(self):
-        road = bpr_road(affine=mar.AffineMixed(3.0, 1.0, 1.0))
+        # sigma = 1 under model 1: the cost 3x+y+1
+        road = bpr_road(headway=3.0, platoon_headway=1.0)
         assert mar.link_cost(road, 2.0, 0.0) == 7.0
+
+    def test_monotonicity_demo_roads_are_its_affine_costs(self):
+        # the demo's sigma = 1 roads give 3x+y+1 and 3x+2y+1 exactly
+        first, second = mar.demo_scenario("monotonicity").network.roads
+        for x in np.linspace(0.0, 5.0, 11):
+            for y in np.linspace(0.0, 5.0, 11):
+                assert mar.link_cost(first, x, y) == 3.0 * x + y + 1.0
+                assert mar.link_cost(second, x, y) == 3.0 * x + 2.0 * y + 1.0
 
 
     def test_kernel_matches_capacity_rule(self, rng):

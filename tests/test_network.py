@@ -45,18 +45,11 @@ def test_non_finite_road_parameters_rejected(field, value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_demand_and_affine_coefficients_rejected(value):
+def test_non_finite_demand_rejected(value):
     with pytest.raises(errors.InvalidParameterError, match="demand_human"):
         mar.ODPair("s", "t", demand_human=value, demand_auto=1.0)
     with pytest.raises(errors.InvalidParameterError, match="demand_auto"):
         mar.ODPair("s", "t", demand_human=1.0, demand_auto=value)
-    with pytest.raises(errors.InvalidParameterError, match="constant"):
-        mar.AffineMixed(coef_human=1.0, coef_auto=1.0, constant=value)
-
-
-def test_negative_affine_coefficients_rejected():
-    with pytest.raises(errors.InvalidParameterError):
-        mar.AffineMixed(coef_human=-1.0, coef_auto=0.0, constant=0.0)
 
 
 def test_unreachable_od():

@@ -66,9 +66,6 @@ def reference_cost_and_grad(table, p, z):
     base = p.slope * r ** p.sigma_less1
     dcdx = base * (p.h_d - p.mixed_d * alpha * alpha)
     dcdy = base * (p.hbar_d - p.mixed_d * human * human)
-    if p.any_affine:
-        c = np.where(p.affine, p.ax * x + p.ay * y + p.a0, c)
-        dcdx, dcdy = np.where(p.affine, p.ax, dcdx), np.where(p.affine, p.ay, dcdy)
     grad = np.stack([c + t * dcdx, c + t * dcdy], axis=1) @ table.incidence
     return np.sum(c * t, axis=1), grad.reshape(len(z), 2 * n)
 
@@ -205,7 +202,7 @@ class TestKernel:
         nets = [mar.Network(net.nodes, tuple(dataclasses.replace(r, capacity_model=model)
                                              for r in net.roads), net.od_pairs)
                 for net in nets]
-        # padded multi-OD tables with a zero-demand block, and affine roads
+        # padded multi-OD tables with a zero-demand block, and sigma = 1 roads
         nets += [separate_parallel([1, 3, 2], [(1.0, 0.0), (0.5, 1.5), (0.0, 0.0)]),
                  zero_demand_beside_asymmetric(), mar.demo_scenario("monotonicity").network]
         for net in nets:
@@ -343,7 +340,7 @@ class TestBatchedDescent:
             assert mar.solve_optimum(net, cfg).converged, index
 
     def test_nonconvex_fallback_keeps_descent_monotone_and_feasible(self, rng):
-        # social cost of the affine monotonicity demo is an indefinite
+        # social cost of the sigma = 1 monotonicity demo is an indefinite
         # quadratic, so some moves see s.y <= 0 and take the doubling fallback;
         # _descend is deterministic, so its state after k iterations is the
         # result of a run capped at k

@@ -71,6 +71,7 @@ from .scenario import (
     Experiment,
     Scenario,
     SweepSpec,
+    apply_sweep_parameter,
     demo_scenario,
     network_from_mapping as build_network,
     parse_scenario,
@@ -79,7 +80,7 @@ from . import errors
 
 __version__ = "0.1.0"
 
-_CLI_NAMES = ("apply_sweep_parameter", "main", "run")
+_CLI_NAMES = ("main", "run")
 
 
 def __getattr__(name: str):

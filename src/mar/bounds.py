@@ -130,11 +130,7 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
     The anchor is the equilibrium flow of whichever class occupies more road
     space per vehicle on this road.
     """
-    if not (math.isfinite(x_eq) and math.isfinite(y_eq)):
-        raise errors.InvalidParameterError(
-            f"equilibrium flows must be finite, got ({x_eq}, {y_eq})")
-    if x_eq < 0 or y_eq < 0:
-        raise errors.NegativeFlowError("equilibrium flows must be >= 0")
+    _check_flow_pair(x_eq, y_eq, what="equilibrium flows")
     swapped = road.platoon_headway > road.headway  # the platooned class is costlier
     big, small = sorted((road.headway, road.platoon_headway), reverse=True)
     return AggregateCost(road=road, anchor=y_eq if swapped else x_eq, big=big, small=small,
@@ -142,10 +138,7 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
 
 
 def _check_reference(road: Road, v: float, w: float) -> None:
-    if not (math.isfinite(v) and math.isfinite(w)):
-        raise errors.InvalidParameterError(f"reference flows must be finite, got ({v}, {w})")
-    if v < 0 or w < 0:
-        raise errors.NegativeFlowError("reference flows must be >= 0")
+    _check_flow_pair(v, w, what="reference flows")
     if v + w == 0:
         raise errors.ZeroReferenceError("reference flow pair sums to zero")
 
@@ -344,8 +337,6 @@ def _opposed_asymmetry_net(k: float, sigma: float, rho: float, demand: float) ->
 def _segregated_starts(table):
     """All-or-nothing class-to-path combinations, used to probe bad equilibria."""
     counts = table.valid.sum(axis=1)
-    if counts.max() > 4:
-        return []
     # one path per block, every combination in lexicographic order
     picks = table.columns[np.arange(len(counts)), np.indices(counts).reshape(len(counts), -1).T]
     starts = np.zeros((len(picks), 2 * table.total_paths))
@@ -353,14 +344,22 @@ def _segregated_starts(table):
     return starts
 
 
-def _check_probe_levels(ks: tuple, rhos: tuple) -> None:
-    """The probe's level rule, which scenario parsing applies too: ``ks`` and ``rhos``
-    are nonempty and every k is finite and >= 1. Messages start with the field."""
+def _check_probe_levels(ks: tuple, rhos: tuple, sigma: float, demand: float) -> None:
+    """The probe's rule, which ``scenario.TightnessSpec`` applies too: nonempty ``ks``
+    and ``rhos``, each k finite and >= 1, each rho finite and >= 0, ``sigma`` finite
+    and >= 1, ``demand`` finite and > 0. Messages start with the field."""
     if not ks or not rhos:
         empty = "rhos" if ks else "ks"
         raise errors.InvalidParameterError(f"{empty}: expected at least one value")
     if not all(1.0 <= k < np.inf for k in ks):
         raise errors.InvalidParameterError(f"ks: every k must be finite and >= 1, got {ks}")
+    if not all(0.0 <= rho < np.inf for rho in rhos):
+        raise errors.InvalidParameterError(
+            f"rhos: every rho must be finite and >= 0, got {rhos}")
+    if not 1.0 <= sigma < np.inf:
+        raise errors.InvalidParameterError(f"sigma: expected a finite value >= 1, got {sigma}")
+    if not 0.0 < demand < np.inf:
+        raise errors.InvalidParameterError(f"demand: expected a finite value > 0, got {demand}")
 
 
 def tightness_probe(
@@ -383,7 +382,7 @@ def tightness_probe(
     to fall short of the closed-form bound: it shows growth, not tightness.
     """
     ks, rhos = tuple(ks), tuple(rhos)
-    _check_probe_levels(ks, rhos)
+    _check_probe_levels(ks, rhos, sigma, demand)
     _check_integer("seed", seed, 0)
     eq_cfg = eq_cfg or EquilibriumConfig(max_iterations=20_000)
     opt_cfg = opt_cfg or OptimumConfig(restarts=8, max_iterations=2_000)

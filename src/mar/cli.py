@@ -3,7 +3,9 @@
 Verbs mirror the experiments: ``eq``, ``opt``, ``bounds``, ``poa``,
 ``bicriteria``, ``sweep``, ``demo <name>``, ``validate``; ``run`` runs the
 experiment a scenario file names, including those no other verb reaches
-(``tightness_probe``, ``monotonicity_demo``). Reports are written
+(``tightness_probe``, ``monotonicity_demo``). Verbs and flags override the
+file through ``dataclasses.replace``, so the scenario types check the result
+as they check a parsed file; no scenario rule lives here. Reports are written
 as JSON or CSV (``--format``); ``poa``, ``sweep`` and the tightness probe emit
 fixed-column CSV rows suitable for plotting:
 
@@ -25,20 +27,20 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import errors
 from .bounds import empirical_poa, poa_bounds, beta_network_estimate, tightness_probe
-from .costs import cost_jacobian, monotonicity_probe, social_cost
+from .costs import cost_jacobian, monotonicity_probe
 from .equilibrium import SolveResult, solve_equilibrium
 from .network import Network
-from .optimum import solve_optimum, solve_scaled_optimum, scale_demands
+from .optimum import solve_optimum, solve_scaled_optimum
 from .scenario import (
     DEMO_NAMES,
     Experiment,
     Scenario,
+    apply_sweep_parameter,
     demo_scenario,
     experiment_named,
     parse_scenario,
@@ -132,37 +134,6 @@ def _poa_row(net: Network, scenario: Scenario, param: str, value: float) -> tupl
     return row, bool(outcome.flags)
 
 
-def apply_sweep_parameter(net: Network, parameter: str, value: float) -> Network:
-    """Network with one swept parameter applied.
-
-    ``autonomy_share`` reassigns each OD's fixed total demand between the
-    classes; ``k_scale`` rescales the larger headway of every road so each
-    road's asymmetry ratio becomes the given value; ``sigma`` sets every
-    road's polynomial degree; ``demand_scale`` multiplies all demands.
-    """
-    if parameter == "autonomy_share":
-        od_pairs = tuple(
-            replace(od, demand_human=(1.0 - value) * od.total_demand,
-                    demand_auto=value * od.total_demand)
-            for od in net.od_pairs
-        )
-        return Network(nodes=net.nodes, roads=net.roads, od_pairs=od_pairs)
-    if parameter == "k_scale":
-        roads = []
-        for road in net.roads:
-            if road.platoon_headway >= road.headway:
-                roads.append(replace(road, platoon_headway=road.headway * value))
-            else:
-                roads.append(replace(road, headway=road.platoon_headway * value))
-        return Network(nodes=net.nodes, roads=tuple(roads), od_pairs=net.od_pairs)
-    if parameter == "sigma":
-        roads = tuple(replace(road, sigma=value) for road in net.roads)
-        return Network(nodes=net.nodes, roads=roads, od_pairs=net.od_pairs)
-    if parameter == "demand_scale":
-        return scale_demands(net, value)
-    raise errors.InvalidSweepParameterError(f"unknown sweep parameter {parameter!r}")
-
-
 def _run_equilibrium(scenario: Scenario):
     res = solve_equilibrium(scenario.network, scenario.eq_config)
     payload = {"experiment": "equilibrium", **_solve_summary(res, scenario.network)}
@@ -211,8 +182,6 @@ def _run_bicriteria(scenario: Scenario):
 
 def _run_sweep(scenario: Scenario):
     sweep = scenario.sweep
-    if sweep is None:
-        raise errors.SchemaError("the sweep experiment requires a 'sweep' section")
     values = np.linspace(sweep.start, sweep.stop, sweep.steps)
     rows = []
     soft = False
@@ -226,10 +195,6 @@ def _run_sweep(scenario: Scenario):
 
 def _run_monotonicity(scenario: Scenario):
     net = scenario.network
-    if net.n_roads != 2 or len(net.od_pairs) != 1:
-        raise errors.InvalidParameterError(
-            "the monotonicity demo needs exactly two parallel roads and one OD pair"
-        )
     od = net.od_pairs[0]
     h, a = od.demand_human, od.demand_auto
     z = [h, 0.0, 0.0, a]   # humans on road 1, autonomous flow on road 2
@@ -293,10 +258,6 @@ def run(scenario: Scenario, *, out: str | None = None, fmt: str | None = None) -
     (the report is still written). ``fmt`` defaults to CSV for row-shaped
     experiments (poa, sweep, tightness probe) and JSON otherwise.
     """
-    if scenario.network is None and scenario.experiment is not Experiment.TIGHTNESS_PROBE:
-        raise errors.SchemaError(
-            f"the {scenario.experiment.value} experiment requires a 'network' section"
-        )
     payload, rows, soft = _HANDLERS[scenario.experiment](scenario)
     if fmt is None:
         fmt = "csv" if rows is not None else "json"
@@ -351,12 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    eq_cfg = scenario.eq_config
-    opt_cfg = scenario.opt_config
-    seed = scenario.seed
+    eq_cfg, opt_cfg, seed = scenario.eq_config, scenario.opt_config, scenario.seed
     if args.seed is not None:
         seed = args.seed
-        opt_cfg = dataclasses.replace(opt_cfg, seed=args.seed)
+        opt_cfg = dataclasses.replace(opt_cfg, seed=seed)
     if args.gap_tol is not None:
         eq_cfg = dataclasses.replace(eq_cfg, gap_tolerance=args.gap_tol)
     if args.restarts is not None:
@@ -380,10 +339,7 @@ def main(argv=None) -> int:
             scenario = dataclasses.replace(scenario, experiment=experiment_named(args.verb))
         scenario = _apply_overrides(scenario, args)
         return run(scenario, out=args.out, fmt=args.format)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except errors.MarError as exc:
+    except (OSError, errors.MarError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

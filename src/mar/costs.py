@@ -104,11 +104,11 @@ def _latency_partials(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     return _latency_at(p, r), dcdx, dcdy, t
 
 
-def _check_flow_pair(x: float, y: float) -> None:
+def _check_flow_pair(x: float, y: float, what: str = "flows") -> None:
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise errors.InvalidParameterError(f"flows must be finite, got ({x}, {y})")
+        raise errors.InvalidParameterError(f"{what} must be finite, got ({x}, {y})")
     if x < 0 or y < 0:
-        raise errors.NegativeFlowError(f"flows must be >= 0, got ({x}, {y})")
+        raise errors.NegativeFlowError(f"{what} must be >= 0, got ({x}, {y})")
 
 
 def _interleaved(net: Network, z) -> np.ndarray:

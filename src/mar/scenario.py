@@ -1,10 +1,12 @@
 """Scenario files: a JSON-shaped description of a network plus an experiment.
 
 The schema is deliberately small and strict: unknown fields and wrong types
-are rejected with the offending field named, while violations of network
-invariants (duplicate ids, unreachable OD pairs, bad parameter ranges)
-propagate as their own error types. All quantities are unchecked scalars;
-consistent units are the scenario author's responsibility.
+are rejected with the offending field named. Each scenario type checks its own
+rules when built, by ``parse_scenario`` or by library code, so ``parse_scenario``
+only maps JSON onto types. Violations of network invariants (duplicate ids,
+unreachable OD pairs, bad parameter ranges) propagate as their own error types.
+All quantities are unchecked scalars; consistent units are the scenario
+author's responsibility.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from . import errors
 from .bounds import _check_probe_levels
 from .equilibrium import EquilibriumConfig
 from .network import CapacityModel, Network, ODPair, Road
-from .optimum import OptimumConfig
+from .optimum import OptimumConfig, scale_demands
 
 
 class Experiment(enum.Enum):
@@ -48,15 +50,71 @@ def experiment_named(name: str) -> Experiment:
     return _EXPERIMENT_NAMES[name]
 
 
-SWEEP_PARAMETERS = ("autonomy_share", "k_scale", "sigma", "demand_scale")
+#: Most values a sweep may take; each solves an equilibrium and an optimum.
+MAX_SWEEP_STEPS = 10_000
+
+
+def _autonomy_share(net: Network, share: float) -> Network:
+    return replace(net, od_pairs=tuple(
+        replace(od, demand_human=(1.0 - share) * od.total_demand,
+                demand_auto=share * od.total_demand)
+        for od in net.od_pairs))
+
+
+def _k_scale(net: Network, k: float) -> Network:
+    return replace(net, roads=tuple(
+        replace(road, platoon_headway=road.headway * k)
+        if road.platoon_headway >= road.headway
+        else replace(road, headway=road.platoon_headway * k)
+        for road in net.roads))
+
+
+def _sigma(net: Network, sigma: float) -> Network:
+    return replace(net, roads=tuple(replace(road, sigma=sigma) for road in net.roads))
+
+
+# Each sweep parameter: its allowed values, as a rule and its test, and what one
+# value does to a network. autonomy_share keeps each OD's total demand; k_scale
+# rescales each road's larger headway so that its headway ratio is the value.
+_SWEEPS = {
+    "autonomy_share": ("within [0, 1]", lambda v: 0.0 <= v <= 1.0, _autonomy_share),
+    "k_scale": ("finite and >= 1", lambda v: 1.0 <= v < math.inf, _k_scale),
+    "sigma": ("finite and >= 1", lambda v: 1.0 <= v < math.inf, _sigma),
+    "demand_scale": ("finite and > 0", lambda v: 0.0 < v < math.inf, scale_demands),
+}
+
+
+def _sweep_named(parameter: str) -> tuple:
+    if parameter not in _SWEEPS:
+        raise errors.InvalidSweepParameterError(
+            f"unknown sweep parameter {parameter!r}; expected one of {tuple(_SWEEPS)}")
+    return _SWEEPS[parameter]
+
+
+def apply_sweep_parameter(net: Network, parameter: str, value: float) -> Network:
+    """``net`` with one value of a sweep parameter applied, as ``_SWEEPS`` states."""
+    return _sweep_named(parameter)[2](net, value)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """``steps`` (at most ``MAX_SWEEP_STEPS``) evenly spaced values of one
+    parameter from ``start`` to ``stop``, both values the parameter allows."""
+
     parameter: str
     start: float
     stop: float
     steps: int
+
+    def __post_init__(self) -> None:
+        rule, admits, _ = _sweep_named(self.parameter)
+        if type(self.steps) is not int or not 1 <= self.steps <= MAX_SWEEP_STEPS:
+            raise errors.InvalidSweepParameterError(
+                f"sweep.steps: expected an integer in [1, {MAX_SWEEP_STEPS}], got {self.steps!r}")
+        for end, value in (("start", self.start), ("stop", self.stop)):
+            if not admits(value):
+                raise errors.InvalidSweepParameterError(
+                    f"sweep.{end}: {self.parameter} values must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +124,18 @@ class TightnessSpec:
     rhos: tuple[float, ...] = (10.0, 100.0)
     demand: float = 1.0
 
+    def __post_init__(self) -> None:
+        try:
+            _check_probe_levels(self.ks, self.rhos, self.sigma, self.demand)
+        except errors.InvalidParameterError as exc:
+            raise errors.SchemaError(f"tightness.{exc}") from None
+
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: str
+    """An experiment and its inputs. All but the tightness probe need a network,
+    the sweep needs a sweep, and the monotonicity demo two roads and one OD."""
+
     experiment: Experiment
     network: Network | None
     eq_config: EquilibriumConfig
@@ -77,6 +143,18 @@ class Scenario:
     sweep: SweepSpec | None = None
     tightness: TightnessSpec = field(default_factory=TightnessSpec)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        net = self.network
+        if net is None and self.experiment is not Experiment.TIGHTNESS_PROBE:
+            raise errors.SchemaError(
+                f"the {self.experiment.value} experiment requires a 'network' section")
+        if self.sweep is None and self.experiment is Experiment.SWEEP:
+            raise errors.SchemaError("the sweep experiment requires a 'sweep' section")
+        if self.experiment is Experiment.MONOTONICITY_DEMO and (
+                net.n_roads != 2 or len(net.od_pairs) != 1):
+            raise errors.InvalidParameterError(
+                "the monotonicity demo needs exactly two parallel roads and one OD pair")
 
 
 def _require_mapping(value, where: str) -> Mapping:
@@ -215,7 +293,7 @@ def network_from_mapping(data: Mapping) -> Network:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text into a Scenario."""
+    """Map scenario text onto a Scenario, whose types check their own rules."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
@@ -230,31 +308,16 @@ def parse_scenario(text: str) -> Scenario:
     seed = _get(data, "seed", "scenario", int, required=False, default=0)
     if seed < 0:
         raise errors.SchemaError(f"scenario.seed: expected an integer >= 0, got {seed}")
-
-    network = None
-    if "network" in data:
-        network = network_from_mapping(data["network"])
-    elif experiment is not Experiment.TIGHTNESS_PROBE:
-        raise errors.SchemaError("scenario: missing required field 'network'")
-
-    sweep = None
-    if data.get("sweep") is not None:
-        sweep = SweepSpec(**_record(data["sweep"], "sweep", _SWEEP_FIELDS))
-        _validate_sweep(sweep)
-    elif experiment is Experiment.SWEEP:
-        raise errors.SchemaError("scenario: sweep experiment requires a 'sweep' section")
-
+    network = network_from_mapping(data["network"]) if "network" in data else None
+    sweep = data.get("sweep")
+    if sweep is not None:
+        sweep = SweepSpec(**_record(sweep, "sweep", _SWEEP_FIELDS))
     tightness = TightnessSpec(**_section(data.get("tightness"), "tightness",
                                          _TIGHTNESS_FIELDS))
-    try:
-        _check_probe_levels(tightness.ks, tightness.rhos)
-    except errors.InvalidParameterError as exc:
-        raise errors.SchemaError(f"tightness.{exc}") from None
     # the optimum seed defaults to the scenario's
     eq_fields = _section(data.get("equilibrium"), "equilibrium", _EQUILIBRIUM_FIELDS)
     opt_fields = _section(data.get("optimum"), "optimum", _OPTIMUM_FIELDS)
     return Scenario(
-        schema_version=version,
         experiment=experiment,
         network=network,
         eq_config=EquilibriumConfig(**eq_fields),
@@ -263,25 +326,6 @@ def parse_scenario(text: str) -> Scenario:
         tightness=tightness,
         seed=seed,
     )
-
-
-def _validate_sweep(sweep: SweepSpec) -> None:
-    if sweep.parameter not in SWEEP_PARAMETERS:
-        raise errors.InvalidSweepParameterError(
-            f"unknown sweep parameter {sweep.parameter!r}; "
-            f"expected one of {SWEEP_PARAMETERS}"
-        )
-    if sweep.steps < 1:
-        raise errors.InvalidSweepParameterError("sweep.steps must be >= 1")
-    lo, hi = min(sweep.start, sweep.stop), max(sweep.start, sweep.stop)
-    if sweep.parameter == "autonomy_share" and (lo < 0 or hi > 1):
-        raise errors.InvalidSweepParameterError("autonomy_share must stay within [0, 1]")
-    if sweep.parameter == "k_scale" and lo < 1:
-        raise errors.InvalidSweepParameterError("k_scale values must be >= 1")
-    if sweep.parameter == "sigma" and lo < 1:
-        raise errors.InvalidSweepParameterError("sigma values must be >= 1")
-    if sweep.parameter == "demand_scale" and lo <= 0:
-        raise errors.InvalidSweepParameterError("demand_scale values must be > 0")
 
 
 # Embedded demo scenarios. "monotonicity" is two sigma = 1 model-1 roads with

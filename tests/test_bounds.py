@@ -461,6 +461,15 @@ class TestTightnessProbe:
         with pytest.raises(errors.InvalidParameterError, match=r"\bk must be"):
             mar.tightness_probe(ks=(2.0, k), rhos=(10.0,))
 
+    @pytest.mark.parametrize("levels, field", [
+        ({"rhos": (10.0, -1.0)}, "rhos"), ({"rhos": (float("inf"),)}, "rhos"),
+        ({"sigma": 0.5}, "sigma"), ({"sigma": float("inf")}, "sigma"),
+        ({"demand": 0.0}, "demand"), ({"demand": float("nan")}, "demand")])
+    def test_rho_sigma_and_demand_rules(self, levels, field):
+        # the rule scenario.TightnessSpec applies too
+        with pytest.raises(errors.InvalidParameterError, match=f"^{field}: "):
+            mar.tightness_probe(**{"ks": (2.0,), "rhos": (10.0,), **levels})
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(errors.InvalidParameterError, match="seed"):

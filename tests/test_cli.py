@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import mar
 from mar import errors
-from mar.cli import CSV_COLUMNS, apply_sweep_parameter, main, run
+from mar.cli import CSV_COLUMNS, main, run
 from mar.scenario import (
-    _DEMOS, _EQUILIBRIUM_FIELDS, _OD_FIELDS, _OPTIMUM_FIELDS, _SWEEP_FIELDS, Scenario,
-    SweepSpec, parse_scenario)
+    _DEMOS, _EQUILIBRIUM_FIELDS, _OD_FIELDS, _OPTIMUM_FIELDS, _SWEEP_FIELDS, MAX_SWEEP_STEPS,
+    Experiment, Scenario, SweepSpec, apply_sweep_parameter, parse_scenario)
 
 from factories import grid_net, symmetric_pair
 
@@ -239,6 +239,40 @@ def test_parse_scenario_returns_scenario_or_raises_mar_error(data):
     assert isinstance(result, Scenario)
 
 
+class TestScenarioRules:
+    # a Scenario built in library code or by dataclasses.replace passes the
+    # same checks as a parsed file
+    @pytest.mark.parametrize("experiment, message", [
+        (Experiment.SWEEP, "the sweep experiment requires a 'sweep' section"),
+        (Experiment.MONOTONICITY_DEMO, "the monotonicity demo needs exactly two")])
+    def test_built_directly(self, experiment, message):
+        with pytest.raises(errors.MarError, match=message):
+            Scenario(experiment=experiment, network=grid_net(2),
+                     eq_config=mar.EquilibriumConfig(), opt_config=mar.OptimumConfig())
+
+    def test_network_required_unless_tightness_probe(self):
+        configs = dict(eq_config=mar.EquilibriumConfig(), opt_config=mar.OptimumConfig())
+        Scenario(experiment=Experiment.TIGHTNESS_PROBE, network=None, **configs)
+        with pytest.raises(errors.SchemaError,
+                           match="the bounds experiment requires a 'network' section"):
+            Scenario(experiment=Experiment.BOUNDS, network=None, **configs)
+
+    def test_replace_rechecks(self):
+        sc = parse_scenario(scenario_text())
+        with pytest.raises(errors.SchemaError, match="requires a 'sweep' section"):
+            dataclasses.replace(sc, experiment=Experiment.SWEEP)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"steps": 2.0}, "sweep.steps: expected an integer"),
+        ({"steps": True}, "sweep.steps: expected an integer"),
+        ({"stop": float("nan")}, "sweep.stop: autonomy_share values must be within"),
+        ({"parameter": "k_scale", "start": 1.0, "stop": float("inf")}, "sweep.stop: k_scale")])
+    def test_sweep_spec_built_directly(self, fields, message):
+        spec = {"parameter": "autonomy_share", "start": 0.0, "stop": 1.0, "steps": 3, **fields}
+        with pytest.raises(errors.InvalidSweepParameterError, match=message):
+            SweepSpec(**spec)
+
+
 class TestApplySweep:
     def test_autonomy_share_preserves_total(self):
         net = symmetric_pair(demand_human=2.0, demand_auto=0.0)
@@ -261,6 +295,13 @@ class TestApplySweep:
         net = symmetric_pair()
         swept = apply_sweep_parameter(net, "sigma", 4.0)
         assert all(r.sigma == 4.0 for r in swept.roads)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(errors.InvalidSweepParameterError, match="unknown sweep parameter"):
+            apply_sweep_parameter(symmetric_pair(), "speed", 1.0)
+
+    def test_is_the_package_export(self):
+        assert mar.apply_sweep_parameter is apply_sweep_parameter
 
 
 class TestRunExperiments:
@@ -482,6 +523,52 @@ class TestMainCli:
         payload = json.loads(out.read_text())
         assert payload["experiment"] == "poa"
 
+    def test_opt_verb_restarts_override_matches_run(self, tmp_path, monkeypatch):
+        text = scenario_text(seed=5, network=TWO_OD)  # a bounds scenario
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        out = tmp_path / "opt.json"
+        configs = []
+        solve = mar.cli.solve_optimum
+        monkeypatch.setattr(mar.cli, "solve_optimum",
+                            lambda net, cfg: configs.append(cfg) or solve(net, cfg))
+        assert main(["opt", "--scenario", str(path), "--restarts", "3",
+                     "--out", str(out)]) == 0
+        assert [cfg.restarts for cfg in configs] == [3]
+        payload = json.loads(out.read_text())
+        assert payload["experiment"] == "optimum" and payload["converged"] is True
+        sc = parse_scenario(text)
+        sc = dataclasses.replace(sc, experiment=Experiment.OPTIMUM,
+                                 opt_config=dataclasses.replace(sc.opt_config, restarts=3))
+        assert run(sc, out=str(tmp_path / "lib.json")) == 0
+        assert (tmp_path / "lib.json").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("verb, line", [
+        ("bounds", "bound_combined,1.33333333333"), ("eq", "link_flows.1.road,2")])
+    def test_csv_of_a_report_that_is_not_rows(self, tmp_path, verb, line):
+        path = tmp_path / "s.json"
+        path.write_text(scenario_text())
+        out = tmp_path / "report.csv"
+        assert main([verb, "--scenario", str(path), "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "key,value"
+        assert line in lines
+
+    def test_unknown_format_is_a_schema_error(self):
+        with pytest.raises(errors.SchemaError, match="unknown format 'xml'"):
+            run(parse_scenario(scenario_text()), fmt="xml")
+
+    def test_unconverged_poa_row_carries_its_tokens_and_exits_2(self, tmp_path):
+        # one iteration each, and a grid too fine for the brute-force oracle
+        doc = {**FULL, "experiment": "poa", "equilibrium": {"max_iterations": 1},
+               "optimum": {"max_iterations": 1, "grid_resolution": 5e-324}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "poa.csv"
+        assert main(["poa", "--scenario", str(path), "--out", str(out)]) == 2
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["opt_oracle"] == "local-search+eq-unconverged+opt-unconverged"
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(scenario_text(experiment="equilibrium"))
@@ -500,7 +587,8 @@ class TestMainCli:
         path = tmp_path / "s.json"
         path.write_text(scenario_text())  # bounds scenario, no sweep block
         assert main(["sweep", "--scenario", str(path)]) == 1
-        assert "sweep" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the sweep experiment requires a 'sweep' section\n")
 
     @pytest.mark.parametrize("k", ["0.5", "0.0", "-2.0"])  # the schema rejects non-finite
     def test_tightness_k_below_one_fails_without_traceback(self, tmp_path, capsys, k):
@@ -514,7 +602,11 @@ class TestMainCli:
 
     @pytest.mark.parametrize("tightness, field", [
         ({"ks": [0.5]}, "tightness.ks: every k must be finite and >= 1"),
-        ({"rhos": []}, "tightness.rhos: expected at least one value")])
+        ({"rhos": []}, "tightness.rhos: expected at least one value"),
+        ({"sigma": 0.5}, "tightness.sigma: expected a finite value >= 1, got 0.5"),
+        ({"demand": 0.0}, "tightness.demand: expected a finite value > 0, got 0.0"),
+        ({"demand": -1.0}, "tightness.demand: expected a finite value > 0, got -1.0"),
+        ({"rhos": [-1.0]}, "tightness.rhos: every rho must be finite and >= 0")])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, tightness, field):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"schema_version": "1", "experiment": "tightness_probe",
@@ -526,12 +618,46 @@ class TestMainCli:
         with pytest.raises(errors.SchemaError):
             parse_scenario(path.read_text())
 
+    @pytest.mark.parametrize("doc, verbs, first_line", [
+        ({"experiment": "sweep", "network": MINIMAL["network"]}, ("validate", "run", "sweep"),
+         "the sweep experiment requires a 'sweep' section"),
+        ({"experiment": "eq"}, ("validate", "run", "eq"),
+         "the equilibrium experiment requires a 'network' section"),
+        ({"experiment": "monotonicity_demo", "network": TWO_OD}, ("validate", "run"),
+         "the monotonicity demo needs exactly two parallel roads and one OD pair"),
+        *(({"experiment": "sweep", "network": MINIMAL["network"],
+            "sweep": {"parameter": "k_scale", "start": 1.0, "stop": 2.0, "steps": steps}},
+           ("validate", "run", "sweep"),
+           f"sweep.steps: expected an integer in [1, {MAX_SWEEP_STEPS}], got {steps}")
+          for steps in (0, MAX_SWEEP_STEPS + 1, 10 ** 20)),
+        *(({"experiment": "sweep", "network": MINIMAL["network"],
+            "sweep": {"parameter": parameter, "start": start, "stop": stop, "steps": 3}},
+           ("validate", "run", "sweep"), f"sweep.{end}: {parameter} values must be {rule}")
+          for parameter, start, stop, end, rule in (
+              ("autonomy_share", -0.1, 1.0, "start", "within [0, 1], got -0.1"),
+              ("autonomy_share", 0.0, 1.5, "stop", "within [0, 1], got 1.5"),
+              ("k_scale", 0.5, 2.0, "start", "finite and >= 1, got 0.5"),
+              ("sigma", 1.0, 0.9, "stop", "finite and >= 1, got 0.9"),
+              ("demand_scale", 0.0, 1.0, "start", "finite and > 0, got 0.0"),
+              ("demand_scale", 1.0, -1.0, "stop", "finite and > 0, got -1.0"))),
+    ])
+    def test_validate_and_run_agree_on_scenario_rules(self, tmp_path, capsys, doc, verbs,
+                                                      first_line):
+        # the rules of Scenario and SweepSpec; the tightness ones are above
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"schema_version": "1", **doc}))
+        for verb in verbs:
+            assert main([verb, "--scenario", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines()[0] == f"error: {first_line}", verb
+
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"schema_version": "1",
                                     "experiment": "tightness_probe"}))
         assert main(["eq", "--scenario", str(path)]) == 1
-        assert "network" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the equilibrium experiment requires a 'network' section\n")
 
     def test_module_entry_point_runs_without_warnings(self):
         # ``import mar`` must not load mar.cli, or runpy warns on ``-m mar.cli``

@@ -5,7 +5,8 @@ Verbs mirror the experiments: ``eq``, ``opt``, ``bounds``, ``poa``,
 experiment a scenario file names, including those no other verb reaches
 (``tightness_probe``, ``monotonicity_demo``). Verbs and flags override the
 file through ``dataclasses.replace``, so the scenario types check the result
-as they check a parsed file; no scenario rule lives here. Reports are written
+as they check a parsed file, and ``validate`` checks the scenario as it would
+run, flags applied; no scenario rule lives here. Reports are written
 as JSON or CSV (``--format``); ``poa``, ``sweep`` and the tightness probe emit
 fixed-column CSV rows suitable for plotting:
 
@@ -332,12 +333,12 @@ def main(argv=None) -> int:
         else:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 scenario = parse_scenario(fh.read())
+        if args.verb not in ("demo", "run", "validate"):
+            scenario = dataclasses.replace(scenario, experiment=experiment_named(args.verb))
+        scenario = _apply_overrides(scenario, args)
         if args.verb == "validate":
             sys.stdout.write("scenario ok\n")
             return 0
-        if args.verb not in ("demo", "run"):
-            scenario = dataclasses.replace(scenario, experiment=experiment_named(args.verb))
-        scenario = _apply_overrides(scenario, args)
         return run(scenario, out=args.out, fmt=args.format)
     except (OSError, errors.MarError) as exc:
         sys.stderr.write(f"error: {exc}\n")

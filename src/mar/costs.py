@@ -111,20 +111,6 @@ def _check_flow_pair(x: float, y: float, what: str = "flows") -> None:
         raise errors.NegativeFlowError(f"{what} must be >= 0, got ({x}, {y})")
 
 
-def _interleaved(net: Network, z) -> np.ndarray:
-    """Coerce a FlowVector or interleaved sequence into a checked, clipped array."""
-    arr = _flow_array(net, z)
-    if arr.min() < -1e-9:
-        raise errors.NegativeFlowError(f"negative flow entry: {arr.min()}")
-    return np.clip(arr, 0.0, None)
-
-
-def _split_flows(net: Network, z) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a FlowVector or interleaved sequence into (x, y) arrays."""
-    arr = _interleaved(net, z)
-    return arr[0::2], arr[1::2]
-
-
 def _spacing(road: Road, alpha):
     """Average road space per vehicle at autonomy level ``alpha`` (scalar or
     array): the headways mixed with weight ``alpha`` under model 1 and
@@ -157,15 +143,19 @@ def link_cost(road: Road, x: float, y: float) -> float:
     return float(_latencies(p, np.array([x]), np.array([y]))[0])
 
 
+def _duplicated_costs(net: Network, z: np.ndarray) -> np.ndarray:
+    """The duplicated latency vector of checked interleaved flows ``z``."""
+    return np.repeat(_latencies(_net_arrays(net), z[0::2], z[1::2]), 2)
+
+
 def cost_vector(net: Network, z) -> np.ndarray:
     """Duplicated latency vector: entries 2i and 2i+1 both carry road i's latency."""
-    x, y = _split_flows(net, z)
-    return np.repeat(_latencies(_net_arrays(net), x, y), 2)
+    return _duplicated_costs(net, _flow_array(net, z))
 
 
 def social_cost(net: Network, z) -> float:
     """Aggregate delay over all users, ``sum_i c_i(x_i, y_i) * (x_i + y_i)``."""
-    x, y = _split_flows(net, z)
+    x, y = _flow_array(net, z).reshape(-1, 2).T
     c = _latencies(_net_arrays(net), x, y)
     return float(np.dot(c, x + y))
 
@@ -177,7 +167,7 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
     total flow the derivative is the zero-autonomy limit, which keeps solvers
     that visit the origin well behaved.
     """
-    x, y = _split_flows(net, z)
+    x, y = _flow_array(net, z).reshape(-1, 2).T
     _, dcdx, dcdy, _ = _latency_partials(_net_arrays(net), x, y)
     n = net.n_roads
     jac = np.zeros((n, 2, n, 2))
@@ -189,9 +179,9 @@ def cost_jacobian(net: Network, z) -> np.ndarray:
 def monotonicity_probe(net: Network, z, q) -> float:
     """Inner product ``<c(z) - c(q), z - q>``; a negative value certifies that
     the cost operator is not monotone."""
-    zz = _interleaved(net, z)
-    qq = _interleaved(net, q)
-    return float(np.dot(cost_vector(net, zz) - cost_vector(net, qq), zz - qq))
+    zz = _flow_array(net, z)
+    qq = _flow_array(net, q)
+    return float(np.dot(_duplicated_costs(net, zz) - _duplicated_costs(net, qq), zz - qq))
 
 
 def headway_from_speed(vehicle_length: float, speed: float, reaction_time: float) -> float:

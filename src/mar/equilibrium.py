@@ -27,11 +27,10 @@ import numpy as np
 
 from . import errors
 from .costs import (
-    _interleaved,
+    _duplicated_costs,
     _latencies,
     _latency_partials,
     _net_arrays,
-    cost_vector,
     social_cost,
 )
 from .network import (
@@ -40,6 +39,7 @@ from .network import (
     PathFlowAssignment,
     PathTable,
     _check_integer,
+    _flow_array,
     path_table,
     validate_assignment,
 )
@@ -262,5 +262,5 @@ def vi_residual(net: Network, z_eq, z) -> float:
     At a true equilibrium this is <= 0 for every feasible z; a positive value
     against some feasible z certifies z_eq is not an equilibrium.
     """
-    zz = _interleaved(net, z_eq)
-    return float(np.dot(cost_vector(net, zz), zz - _interleaved(net, z)))
+    zz = _flow_array(net, z_eq)
+    return float(np.dot(_duplicated_costs(net, zz), zz - _flow_array(net, z)))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -84,10 +84,11 @@ class Road:
     nominal speed, ``platoon_headway`` by a platooned one. Neither is assumed
     larger than the other. The delay is BPR-form with a capacity set by the
     headways (see ``mar.costs``); with ``sigma`` 1 under model 1 it is affine
-    in the two class flows.
+    in the two class flows. ``rid`` is the road's id, keyed ``id`` in a
+    scenario file.
     """
 
-    rid: int
+    rid: int = field(metadata={"key": "id"})
     tail: str
     head: str
     length: float = 1.0
@@ -390,16 +391,15 @@ class FeasibilityReport:
 
 
 def _flow_array(net: Network, z) -> np.ndarray:
-    """A FlowVector or interleaved sequence as a float array, checked to hold
-    ``2 * n_roads`` finite entries (their signs are the caller's to check)."""
+    """The interleaved entries of link flows ``z``, a FlowVector or a sequence
+    of ``2 * n_roads`` entries. A sequence is checked and clipped as a
+    FlowVector is; a FlowVector passes unchecked but for its length."""
     arr = z.interleaved if isinstance(z, FlowVector) else np.asarray(z, dtype=float)
     if arr.ndim != 1 or arr.size != 2 * net.n_roads:
         raise errors.DimensionMismatchError(
             f"expected {2 * net.n_roads} flow entries, got {arr.size}"
         )
-    if not np.isfinite(arr).all():
-        raise errors.InvalidParameterError("flow entries must be finite")
-    return arr
+    return arr if isinstance(z, FlowVector) else FlowVector(arr).interleaved
 
 
 def check_feasible(net: Network, z) -> FeasibilityReport:
@@ -410,10 +410,10 @@ def check_feasible(net: Network, z) -> FeasibilityReport:
     enumerated paths). ``z`` may be a FlowVector or any interleaved sequence;
     a negative entry gives an infeasible report, a non-finite one raises.
     """
-    arr = _flow_array(net, z)
-    if arr.min() < -1e-9:
+    try:
+        arr = _flow_array(net, z)
+    except errors.NegativeFlowError:
         return FeasibilityReport(False, float("inf"), "negative flow entry")
-    arr = np.clip(arr, 0.0, None)
     scale = 1.0 + max(od.total_demand for od in net.od_pairs)
 
     table = path_table(net)

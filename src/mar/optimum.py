@@ -42,6 +42,8 @@ _SLAB = 8192
 _TIE_RTOL = 1e-12
 #: Most grid points brute force visits: 3 paths per class at resolution 0.01.
 MAX_GRID_POINTS = 26_532_801
+#: Most restarts a multistart solve takes; each holds a start row before the descent.
+MAX_RESTARTS = 1_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,9 @@ class OptimumConfig:
 
     def __post_init__(self) -> None:
         _check_integer("restarts", self.restarts, 1)
+        if self.restarts > MAX_RESTARTS:
+            raise errors.InvalidParameterError(
+                f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         if not 0 < self.grid_resolution <= 1:
             raise errors.InvalidParameterError("grid_resolution must be in (0, 1]")
         _check_integer("max_iterations", self.max_iterations, 1)

@@ -1,26 +1,30 @@
 """Scenario files: a JSON-shaped description of a network plus an experiment.
 
-The schema is deliberately small and strict: unknown fields and wrong types
-are rejected with the offending field named. Each scenario type checks its own
-rules when built, by ``parse_scenario`` or by library code, so ``parse_scenario``
-only maps JSON onto types. Violations of network invariants (duplicate ids,
-unreachable OD pairs, bad parameter ranges) propagate as their own error types.
-All quantities are unchecked scalars; consistent units are the scenario
-author's responsibility.
+The schema is the library's own types: ``_value`` reads every section from the
+fields of the dataclass it builds, so a field's type hint is its schema and a
+field with a default is optional. Unknown fields and wrong types are rejected
+with the offending field's path named, such as ``network.roads[1].sigma``.
+Each scenario type checks its own rules when built, by ``parse_scenario`` or
+by library code, so ``parse_scenario`` only maps JSON onto types. Violations
+of network invariants (duplicate ids, unreachable OD pairs, bad parameter
+ranges) propagate as their own error types. All quantities are unchecked
+scalars; consistent units are the scenario author's responsibility.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Any, Mapping
 
 from . import errors
 from .bounds import _check_probe_levels
 from .equilibrium import EquilibriumConfig
-from .network import CapacityModel, Network, ODPair, Road
+from .network import Network
 from .optimum import OptimumConfig, scale_demands
 
 
@@ -133,8 +137,10 @@ class TightnessSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """An experiment and its inputs. All but the tightness probe need a network,
-    the sweep needs a sweep, and the monotonicity demo two roads and one OD."""
+    """An experiment and its inputs. The seed is an integer >= 0. All but the
+    tightness probe need a network, the sweep needs a sweep, and the
+    monotonicity demo two roads from the origin to the destination of its one
+    OD pair."""
 
     experiment: Experiment
     network: Network | None
@@ -145,6 +151,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise errors.SchemaError(f"scenario.seed: expected an integer >= 0, got {self.seed!r}")
         net = self.network
         if net is None and self.experiment is not Experiment.TIGHTNESS_PROBE:
             raise errors.SchemaError(
@@ -152,7 +160,9 @@ class Scenario:
         if self.sweep is None and self.experiment is Experiment.SWEEP:
             raise errors.SchemaError("the sweep experiment requires a 'sweep' section")
         if self.experiment is Experiment.MONOTONICITY_DEMO and (
-                net.n_roads != 2 or len(net.od_pairs) != 1):
+                net.n_roads != 2 or len(net.od_pairs) != 1
+                or {(r.tail, r.head) for r in net.roads}
+                != {(net.od_pairs[0].origin, net.od_pairs[0].destination)}):
             raise errors.InvalidParameterError(
                 "the monotonicity demo needs exactly two parallel roads and one OD pair")
 
@@ -163,15 +173,22 @@ def _require_mapping(value, where: str) -> Mapping:
     return value
 
 
-def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
+def _check_keys(data: Mapping, allowed, where: str) -> None:
+    unknown = set(data) - set(allowed)
     if unknown:
         raise errors.SchemaError(f"{where}: unknown field {sorted(unknown)[0]!r}")
 
 
 def _value(value, kind, where: str):
-    """``value`` checked as ``kind``: float, int, str, list, an enum (given by
-    its value), or ``tuple[float, ...]`` for a list of numbers."""
+    """``value`` read as ``kind``, with ``where`` naming it in errors.
+
+    ``kind`` is float, int, str, an enum (given by its value),
+    ``tuple[T, ...]`` (a list, each item read as ``T``), or a dataclass (an
+    object of its fields). A dataclass field's schema is its type hint and its
+    default: a field with a default is optional, the others are required, and
+    its key is the field's name unless its ``metadata["key"]`` says otherwise.
+    The type's own ``__post_init__`` then checks the values.
+    """
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise errors.SchemaError(f"{where}: expected a number, got {value!r}")
@@ -190,12 +207,6 @@ def _value(value, kind, where: str):
         if not isinstance(value, str):
             raise errors.SchemaError(f"{where}: expected a string, got {value!r}")
         return value
-    if kind is list:
-        if not isinstance(value, (list, tuple)):
-            raise errors.SchemaError(f"{where}: expected a list, got {value!r}")
-        return value
-    if kind == tuple[float, ...]:
-        return tuple(_value(v, float, where) for v in _value(value, list, where))
     if isinstance(kind, enum.EnumMeta):
         name = _value(value, str, where)
         try:
@@ -203,58 +214,28 @@ def _value(value, kind, where: str):
         except ValueError:
             choices = " or ".join(repr(member.value) for member in kind)
             raise errors.SchemaError(f"{where}: expected {choices}, got {name!r}") from None
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise errors.SchemaError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(kind)[0]
+        return tuple(_value(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(kind):
+        data = _require_mapping(value, where)
+        hints = typing.get_type_hints(kind)
+        fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(kind)}
+        _check_keys(data, fields, where)
+        # a field absent from data takes its default, or _get says it is missing
+        return kind(**{
+            f.name: _get(data, key, where, hints[f.name]) for key, f in fields.items()
+            if key in data or f.default is MISSING and f.default_factory is MISSING})
     raise AssertionError(kind)
 
 
-def _get(data: Mapping, key: str, where: str, kind, required: bool = True, default=None):
+def _get(data: Mapping, key: str, where: str, kind):
+    """Required field ``key`` of object ``data`` (at ``where``) read as ``kind``."""
     if key not in data:
-        if required:
-            raise errors.SchemaError(f"{where}: missing required field {key!r}")
-        return default
+        raise errors.SchemaError(f"{where}: missing required field {key!r}")
     return _value(data[key], kind, f"{where}.{key}")
-
-
-def _fields(data: Mapping, where: str, kinds: Mapping) -> dict:
-    """The checked fields of ``kinds`` that ``data`` gives. Absent ones are
-    left out, so the defaults of the dataclass they are passed to apply."""
-    return {key: _get(data, key, where, kind) for key, kind in kinds.items() if key in data}
-
-
-def _section(data, where: str, kinds: Mapping) -> dict:
-    """``_fields`` of an optional section; absent or null reads as empty."""
-    data = _require_mapping({} if data is None else data, where)
-    _check_keys(data, set(kinds), where)
-    return _fields(data, where, kinds)
-
-
-def _record(data, where: str, kinds: Mapping) -> dict:
-    """The fields of object ``data``, every field of ``kinds`` required."""
-    data = _require_mapping(data, where)
-    _check_keys(data, set(kinds), where)
-    return {key: _get(data, key, where, kind) for key, kind in kinds.items()}
-
-
-_ROAD_FIELDS = {"length": float, "headway": float, "platoon_headway": float,
-                "freeflow": float, "rho": float, "sigma": float,
-                "capacity_model": CapacityModel}
-_OD_FIELDS = {"origin": str, "destination": str, "demand_human": float, "demand_auto": float}
-_SWEEP_FIELDS = {"parameter": str, "start": float, "stop": float, "steps": int}
-_EQUILIBRIUM_FIELDS = {"max_iterations": int, "gap_tolerance": float}
-_OPTIMUM_FIELDS = {"restarts": int, "max_iterations": int, "step_tolerance": float,
-                   "grid_resolution": float, "seed": int}
-_TIGHTNESS_FIELDS = {"ks": tuple[float, ...], "sigma": float,
-                     "rhos": tuple[float, ...], "demand": float}
-
-
-def _road_from_mapping(data: Mapping, where: str) -> Road:
-    data = _require_mapping(data, where)
-    _check_keys(data, {"id", "tail", "head", *_ROAD_FIELDS}, where)
-    return Road(
-        rid=_get(data, "id", where, int),
-        tail=_get(data, "tail", where, str),
-        head=_get(data, "head", where, str),
-        **_fields(data, where, _ROAD_FIELDS),
-    )
 
 
 def network_from_mapping(data: Mapping) -> Network:
@@ -269,31 +250,29 @@ def network_from_mapping(data: Mapping) -> Network:
          "od_pairs": [{"origin": "s", "destination": "t",
                        "demand_human": 1.0, "demand_auto": 1.0}]}
 
-    ``length``, ``headway``, ``platoon_headway``, ``freeflow``, ``rho``,
-    ``sigma`` and ``capacity_model`` are optional with the Road defaults;
-    every other field is required. Units are unchecked scalars; keeping them
-    consistent is the scenario author's responsibility. Exported as
-    ``mar.build_network``.
+    Each object is read by ``_value`` from the fields of the type it builds
+    (``Network``, ``Road``, ``ODPair``), so a road's ``length`` to
+    ``capacity_model`` are optional, and a road's ``rid`` is keyed ``id``.
+    Exported as ``mar.build_network``.
     """
-    data = _require_mapping(data, "network")
-    _check_keys(data, {"nodes", "roads", "od_pairs"}, "network")
-    nodes = _get(data, "nodes", "network", list)
-    for n in nodes:
-        if not isinstance(n, str):
-            raise errors.SchemaError(f"network.nodes: expected strings, got {n!r}")
-    roads = tuple(
-        _road_from_mapping(r, f"network.roads[{i}]")
-        for i, r in enumerate(_get(data, "roads", "network", list))
-    )
-    od_pairs = tuple(
-        ODPair(**_record(od, f"network.od_pairs[{i}]", _OD_FIELDS))
-        for i, od in enumerate(_get(data, "od_pairs", "network", list))
-    )
-    return Network(nodes=tuple(nodes), roads=roads, od_pairs=od_pairs)
+    return _value(data, Network, "network")
+
+
+def _optional(data: Mapping, key: str, kind):
+    """Section ``key`` of a scenario read as ``kind``; absent or null reads as empty."""
+    section = data.get(key)
+    return _value({} if section is None else section, kind, key)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Map scenario text onto a Scenario, whose types check their own rules."""
+    """Map scenario text onto a Scenario, whose types check their own rules.
+
+    The top level is read here: ``schema_version`` must be "1",
+    ``experiment`` may be ``eq`` or ``opt`` for short, a null
+    ``equilibrium``, ``optimum`` or ``tightness`` section reads as empty and a
+    null ``sweep`` as none, and the optimum seed defaults to the scenario's.
+    Every section is read by ``_value`` from the type it builds.
+    """
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
@@ -305,27 +284,19 @@ def parse_scenario(text: str) -> Scenario:
     if version != "1":
         raise errors.SchemaError(f"scenario.schema_version: unrecognized version {version!r}")
     experiment = experiment_named(_get(data, "experiment", "scenario", str))
-    seed = _get(data, "seed", "scenario", int, required=False, default=0)
-    if seed < 0:
-        raise errors.SchemaError(f"scenario.seed: expected an integer >= 0, got {seed}")
-    network = network_from_mapping(data["network"]) if "network" in data else None
+    seed = _value(data.get("seed", 0), int, "scenario.seed")
     sweep = data.get("sweep")
-    if sweep is not None:
-        sweep = SweepSpec(**_record(sweep, "sweep", _SWEEP_FIELDS))
-    tightness = TightnessSpec(**_section(data.get("tightness"), "tightness",
-                                         _TIGHTNESS_FIELDS))
-    # the optimum seed defaults to the scenario's
-    eq_fields = _section(data.get("equilibrium"), "equilibrium", _EQUILIBRIUM_FIELDS)
-    opt_fields = _section(data.get("optimum"), "optimum", _OPTIMUM_FIELDS)
-    return Scenario(
-        experiment=experiment,
-        network=network,
-        eq_config=EquilibriumConfig(**eq_fields),
-        opt_config=OptimumConfig(**{"seed": seed, **opt_fields}),
-        sweep=sweep,
-        tightness=tightness,
-        seed=seed,
-    )
+    scenario = Scenario(
+        experiment=experiment, seed=seed,
+        network=network_from_mapping(data["network"]) if "network" in data else None,
+        sweep=None if sweep is None else _value(sweep, SweepSpec, "sweep"),
+        tightness=_optional(data, "tightness", TightnessSpec),
+        eq_config=_optional(data, "equilibrium", EquilibriumConfig),
+        opt_config=_optional(data, "optimum", OptimumConfig))
+    if "seed" in (data.get("optimum") or {}):
+        return scenario
+    # the optimum seed defaults to the scenario's, once Scenario has checked it
+    return replace(scenario, opt_config=replace(scenario.opt_config, seed=seed))
 
 
 # Embedded demo scenarios. "monotonicity" is two sigma = 1 model-1 roads with

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import enum
 import io
 import json
 import os
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 import mar
 from mar import errors
 from mar.cli import CSV_COLUMNS, main, run
+from mar.optimum import MAX_RESTARTS
 from mar.scenario import (
-    _DEMOS, _EQUILIBRIUM_FIELDS, _OD_FIELDS, _OPTIMUM_FIELDS, _SWEEP_FIELDS, MAX_SWEEP_STEPS,
-    Experiment, Scenario, SweepSpec, apply_sweep_parameter, parse_scenario)
+    _DEMOS, MAX_SWEEP_STEPS, Experiment, Scenario, SweepSpec, TightnessSpec, _value,
+    apply_sweep_parameter, parse_scenario)
 
 from factories import grid_net, symmetric_pair
 
@@ -48,6 +50,14 @@ TWO_OD = {
                "sigma": 2.0, "capacity_model": "model2"}],
     "od_pairs": [{"origin": "s", "destination": "t", "demand_human": 1.0, "demand_auto": 0.8},
                  {"origin": "a", "destination": "t", "demand_human": 0.6, "demand_auto": 0.9}],
+}
+
+
+# Two roads in series from s to t: not the monotonicity demo's parallel pair.
+SERIES = {
+    "nodes": ["s", "a", "t"],
+    "roads": [{"id": 1, "tail": "s", "head": "a"}, {"id": 2, "tail": "a", "head": "t"}],
+    "od_pairs": [{"origin": "s", "destination": "t", "demand_human": 2.0, "demand_auto": 3.0}],
 }
 
 
@@ -132,14 +142,6 @@ class TestParseScenario:
     def test_non_finite_number_is_a_schema_error(self, text, field):
         with pytest.raises(errors.SchemaError, match=field):
             parse_scenario(text)
-
-    def test_schema_sections_match_the_config_fields(self):
-        # a solver option lands in its config and its schema section together,
-        # and an OD pair or sweep record names exactly its type's fields
-        for kinds, config in ((_EQUILIBRIUM_FIELDS, mar.EquilibriumConfig),
-                              (_OPTIMUM_FIELDS, mar.OptimumConfig),
-                              (_OD_FIELDS, mar.ODPair), (_SWEEP_FIELDS, SweepSpec)):
-            assert set(kinds) == {f.name for f in dataclasses.fields(config)}
 
     @pytest.mark.parametrize("value", [
         {"coef_human": 3.0, "coef_auto": 1.0, "constant": 1.0}, None])
@@ -239,6 +241,119 @@ def test_parse_scenario_returns_scenario_or_raises_mar_error(data):
     assert isinstance(result, Scenario)
 
 
+_ABSENT = object()
+ROAD = mar.Road(rid=7, tail="a", head="b", length=2.0, headway=1.5, platoon_headway=0.5,
+                freeflow=0.5, rho=1.0, sigma=2.0, capacity_model=mar.CapacityModel.MODEL2)
+
+
+def _edited(path, value):
+    """``FULL`` with the value at ``path`` (keys and list indices) replaced,
+    or deleted where ``value`` is ``_ABSENT``."""
+    doc = copy.deepcopy(FULL)
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is _ABSENT:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+def _plain(value):
+    """A value of a scenario type written as the JSON the reader reads."""
+    if dataclasses.is_dataclass(value):
+        return {f.metadata.get("key", f.name): _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+class TestReader:
+    # every kind of the reader given a wrong value; the error names its full path
+    @pytest.mark.parametrize("path, value, message", [
+        (("network", "roads", 1, "headway"), "fast",
+         "network.roads[1].headway: expected a number, got 'fast'"),
+        (("network", "roads", 1, "headway"), True,
+         "network.roads[1].headway: expected a number, got True"),
+        (("sweep", "stop"), 1e400, "sweep.stop: expected a finite number, got inf"),
+        (("network", "roads", 1, "id"), 2.0, "network.roads[1].id: expected an integer, got 2.0"),
+        (("optimum", "restarts"), "3", "optimum.restarts: expected an integer, got '3'"),
+        (("seed",), False, "scenario.seed: expected an integer, got False"),
+        (("network", "od_pairs", 0, "origin"), 1,
+         "network.od_pairs[0].origin: expected a string, got 1"),
+        (("network", "nodes", 1), None, "network.nodes[1]: expected a string, got None"),
+        (("network", "roads", 1, "capacity_model"), "model3",
+         "network.roads[1].capacity_model: expected 'model1' or 'model2', got 'model3'"),
+        (("network", "roads", 1, "capacity_model"), 2,
+         "network.roads[1].capacity_model: expected a string, got 2"),
+        (("network", "roads"), {"id": 1}, "network.roads: expected a list, got {'id': 1}"),
+        (("tightness", "ks"), 2.0, "tightness.ks: expected a list, got 2.0"),
+        (("tightness", "rhos", 0), "a", "tightness.rhos[0]: expected a number, got 'a'"),
+        (("network", "roads", 1), [1], "network.roads[1]: expected an object, got list"),
+        (("network", "od_pairs", 0), "s", "network.od_pairs[0]: expected an object, got str"),
+        (("optimum",), 3, "optimum: expected an object, got int"),
+        (("sweep",), [], "sweep: expected an object, got list"),
+        (("network",), "net", "network: expected an object, got str"),
+        (("network", "roads", 1, "id"), _ABSENT, "network.roads[1]: missing required field 'id'"),
+        (("network", "od_pairs", 0, "demand_auto"), _ABSENT,
+         "network.od_pairs[0]: missing required field 'demand_auto'"),
+        (("network", "od_pairs"), _ABSENT, "network: missing required field 'od_pairs'"),
+        (("sweep", "steps"), _ABSENT, "sweep: missing required field 'steps'"),
+        (("schema_version",), _ABSENT, "scenario: missing required field 'schema_version'"),
+        (("network", "roads", 1, "rid"), 2, "network.roads[1]: unknown field 'rid'"),
+        (("network", "links"), [], "network: unknown field 'links'"),
+        (("equilibrium", "restarts"), 2, "equilibrium: unknown field 'restarts'"),
+        (("tightness", "k"), [1.0], "tightness: unknown field 'k'"),
+        (("solver",), {}, "scenario: unknown field 'solver'"),
+        (("experiment",), "race", "scenario.experiment: unknown experiment 'race'"),
+        (("schema_version",), "2", "scenario.schema_version: unrecognized version '2'"),
+    ])
+    def test_wrong_value_names_its_path(self, path, value, message):
+        with pytest.raises(errors.SchemaError) as excinfo:
+            parse_scenario(_edited(path, value))
+        assert str(excinfo.value) == message
+
+    def test_unsupported_kind_is_a_bug_not_a_schema_error(self):
+        with pytest.raises(AssertionError):
+            _value({}, dict, "x")
+
+    def test_unknown_demo_is_a_schema_error(self):
+        with pytest.raises(errors.SchemaError, match="unknown demo 'race'; available: "):
+            mar.demo_scenario("race")
+
+    @pytest.mark.parametrize("section", ["equilibrium", "optimum", "tightness", "sweep"])
+    def test_null_section_reads_as_absent(self, section):
+        doc = {**FULL, "experiment": "bounds", section: None}
+        absent = {key: value for key, value in doc.items() if key != section}
+        assert parse_scenario(json.dumps(doc)) == parse_scenario(json.dumps(absent))
+
+    def test_optimum_seed_defaults_to_the_scenario_seed(self):
+        doc = {**FULL, "optimum": {"restarts": 2}}
+        assert parse_scenario(json.dumps(doc)).opt_config.seed == FULL["seed"]
+        assert parse_scenario(json.dumps(FULL)).opt_config.seed == FULL["optimum"]["seed"]
+
+    @pytest.mark.parametrize("value", [
+        mar.Network(nodes=("a", "b"), roads=(ROAD, mar.Road(rid=2, tail="a", head="b")),
+                    od_pairs=(mar.ODPair("a", "b", 1.5, 0.0),)),
+        ROAD,
+        mar.ODPair("a", "b", 1.5, 0.0),
+        SweepSpec(parameter="k_scale", start=1.0, stop=3.0, steps=4),
+        mar.EquilibriumConfig(max_iterations=7, gap_tolerance=1e-3),
+        mar.OptimumConfig(restarts=3, max_iterations=9, step_tolerance=1e-6,
+                          grid_resolution=0.5, seed=4),
+        TightnessSpec(ks=(1.0, 4.0), sigma=2.0, rhos=(5.0,), demand=2.0),
+    ], ids=lambda value: type(value).__name__)
+    def test_reads_every_field_of_the_scenario_types(self, value):
+        # a field of a type the reader cannot read fails here, not in a user's parse
+        text = json.dumps(_plain(value))
+        assert _value(json.loads(text), type(value), "x") == value
+
+
 class TestScenarioRules:
     # a Scenario built in library code or by dataclasses.replace passes the
     # same checks as a parsed file
@@ -261,6 +376,13 @@ class TestScenarioRules:
         sc = parse_scenario(scenario_text())
         with pytest.raises(errors.SchemaError, match="requires a 'sweep' section"):
             dataclasses.replace(sc, experiment=Experiment.SWEEP)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_is_checked_by_the_scenario(self, seed):
+        sc = parse_scenario(scenario_text())
+        with pytest.raises(errors.SchemaError,
+                           match=rf"^scenario\.seed: expected an integer >= 0, got {seed!r}$"):
+            dataclasses.replace(sc, seed=seed)
 
     @pytest.mark.parametrize("fields, message", [
         ({"steps": 2.0}, "sweep.steps: expected an integer"),
@@ -625,6 +747,8 @@ class TestMainCli:
          "the equilibrium experiment requires a 'network' section"),
         ({"experiment": "monotonicity_demo", "network": TWO_OD}, ("validate", "run"),
          "the monotonicity demo needs exactly two parallel roads and one OD pair"),
+        ({"experiment": "monotonicity_demo", "network": SERIES}, ("validate", "run"),
+         "the monotonicity demo needs exactly two parallel roads and one OD pair"),
         *(({"experiment": "sweep", "network": MINIMAL["network"],
             "sweep": {"parameter": "k_scale", "start": 1.0, "stop": 2.0, "steps": steps}},
            ("validate", "run", "sweep"),
@@ -650,6 +774,19 @@ class TestMainCli:
             assert main([verb, "--scenario", str(path)]) == 1
             err = capsys.readouterr().err
             assert err.splitlines()[0] == f"error: {first_line}", verb
+
+    @pytest.mark.parametrize("flags, first_line", [
+        (("--restarts", "0"), "restarts must be an integer >= 1, got 0"),
+        (("--restarts", str(MAX_RESTARTS + 1)),
+         f"restarts must be at most {MAX_RESTARTS}, got {MAX_RESTARTS + 1}"),
+        (("--seed", "-1"), "seed must be an integer >= 0, got -1"),
+        (("--gap-tol", "0"), "gap_tolerance must be finite and > 0")])
+    def test_validate_applies_the_flags_as_run_does(self, tmp_path, capsys, flags, first_line):
+        path = tmp_path / "s.json"
+        path.write_text(scenario_text())
+        for verb in ("validate", "run"):
+            assert main([verb, "--scenario", str(path), *flags]) == 1
+            assert capsys.readouterr().err.splitlines()[0] == f"error: {first_line}", verb
 
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -363,6 +363,16 @@ class TestCheckFeasible:
         with pytest.raises(errors.DimensionMismatchError):
             mar.check_feasible(net, [1.0, 1.0])
 
+    @pytest.mark.parametrize("entry_point", [
+        mar.check_feasible, mar.social_cost, mar.cost_vector, mar.cost_jacobian,
+        lambda net, z: mar.monotonicity_probe(net, [1.0] * 4, z),
+        lambda net, z: mar.vi_residual(net, [1.0] * 4, z)])
+    @pytest.mark.parametrize("z", [[1.0, 1.0], [1.0, 1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["short", "odd", "2-d"])
+    def test_every_link_flow_input_checks_its_length(self, entry_point, z):
+        with pytest.raises(errors.DimensionMismatchError, match="expected 4 flow entries"):
+            entry_point(parallel_net([{}, {}]), z)
+
     def test_conservation_violation(self):
         net = triangle_net(demand_human=1.0, demand_auto=0.0)
         # human flow enters the middle link without leaving the origin

@@ -180,6 +180,14 @@ class TestSolveOptimum:
         with pytest.raises(errors.InvalidParameterError, match=field):
             mar.OptimumConfig(**{field: value})
 
+    @pytest.mark.parametrize("restarts", [optimum.MAX_RESTARTS + 1, 10 ** 20])
+    def test_restarts_are_capped(self, restarts):
+        # the config only; no solve ever starts at such a count
+        with pytest.raises(errors.InvalidParameterError,
+                           match=f"restarts must be at most {optimum.MAX_RESTARTS}, got"):
+            mar.OptimumConfig(restarts=restarts)
+        assert mar.OptimumConfig(restarts=optimum.MAX_RESTARTS).restarts == optimum.MAX_RESTARTS
+
     def test_numpy_integer_seed_accepted(self):
         assert mar.OptimumConfig(seed=np.int64(3), restarts=np.int32(2)).seed == 3
 

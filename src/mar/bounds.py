@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .costs import _arrays_for, _check_flow_pair, _latencies, _spacing, capacity
+from .costs import _check_flow_pair, _latencies, _road_floats, _road_latency, _spacing, capacity
 from .equilibrium import EquilibriumConfig, SolveResult, solve_equilibrium
 from .network import CapacityModel, Network, ODPair, Road, _check_integer, path_table
 from .optimum import OptimumConfig, brute_force_optimum, solve_optimum
@@ -112,16 +112,21 @@ class AggregateCost:
 
     def __call__(self, f):
         scalar = np.isscalar(f)
-        f = np.asarray(f, dtype=float)
-        if not np.isfinite(f).all():
+        if scalar:  # the kernel on floats
+            f = float(f)
+            finite, lowest, costly = math.isfinite(f), f, min(self.anchor, f)
+        else:
+            f = np.asarray(f, dtype=float)
+            finite, lowest = np.isfinite(f).all(), f.min(initial=0.0)
+            costly = np.minimum(f, self.anchor)
+        if not finite:
             raise errors.InvalidParameterError("aggregate flow must be finite")
-        if f.min(initial=0.0) < 0:
+        if lowest < 0:
             raise errors.NegativeFlowError("aggregate flow must be >= 0")
-        costly = np.minimum(f, self.anchor)
         rest = f - costly
         x, y = (rest, costly) if self.swapped else (costly, rest)
-        value = _latencies(_arrays_for((self.road,)), x, y)
-        return float(value[0]) if scalar else value.reshape(f.shape)
+        p = _road_floats(self.road)
+        return _road_latency(p, x, y) if scalar else np.asarray(_latencies(p, x, y))
 
 
 def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
@@ -165,38 +170,59 @@ def _beta_expression(road: Road, t_q: float, m_q: float, sigma_use: float, x, y)
     # capacity at (x, y), with the zero-flow convention alpha = 0
     safe_t = np.where(t_z > 0, t_z, 1.0)
     m_z = road.length / _spacing(road, np.where(t_z > 0, y / safe_t, 0.0))
+    return _gain(t_z, m_z, t_q, m_q, sigma_use)
+
+
+def _gain(t_z, m_z, t_q: float, m_q: float, sigma_use: float):
+    """The deviation gain at total flow ``t_z`` and capacity ``m_z`` against
+    the reference ``(t_q, m_q)``: the one statement of beta's expression."""
     ratio = (m_q * t_z) / (m_z * t_q)
     return (t_z / t_q) * (1.0 - ratio ** sigma_use)
+
+
+_RAMP = np.arange(1201.0)
+
+
+def _spaced(lo, hi, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` along a new last axis, for scalar ends or
+    ends of shape ``(lanes, 1)``, by linspace's own formula without its
+    per-call overhead; ``n`` is at most 1,201."""
+    grid = lo + _RAMP[:n] * ((hi - lo) / (n - 1))
+    grid[..., -1:] = hi
+    return grid
 
 
 def beta_road_numeric(road: Road, v: float, w: float, sigma_use: float) -> float:
     """Numeric maximization of the per-road beta expression over deviations.
 
     Searches both axes (where the analytic maximizer is known to lie) as two
-    lanes of one array: a 1,201-point grid, then three zooms that each lay
-    1,201 points between the neighbours of each lane's best point, plus a
-    coarse interior grid as a defensive check against the axis argument.
-    Reads the capacity rule only, never the closed form, and agrees with
-    ``beta_road_closed_form`` to high relative accuracy.
+    lanes of one array, each at its axis's one capacity: a 1,201-point grid,
+    then three zooms that each lay 1,201 points between the neighbours of
+    each lane's best point, plus a coarse interior grid as a defensive check
+    against the axis argument. Reads the capacity rule only, never the closed
+    form, and agrees with ``beta_road_closed_form`` to high relative accuracy.
     """
     _check_reference(road, v, w)
     xi(sigma_use)  # rejects the sigmas the closed form rejects
     t_q = v + w
     m_q = capacity(road, v, w)
     bound = 3.0 * t_q * road.headway_ratio
-    human = np.array([[1.0], [0.0]])  # lane 0 deviates along x, lane 1 along y
-    lanes = np.arange(2)
-    grid = np.linspace(0.0, np.full(2, bound), 1201, axis=1)
+    lanes, neighbours = np.arange(2)[:, None], np.array([-1, 1])
+    # the autonomy level is 0 along x and 1 along y, so each lane has one
+    # capacity (at zero flow the gain is 0 at any capacity)
+    m_lane = np.array([[road.length / _spacing(road, 0.0)], [road.length / _spacing(road, 1.0)]])
+    grid = _spaced(0.0, np.full((2, 1), bound), 1201)
     best = 0.0
-    for _ in range(4):  # the grid, then three zooms (the last zoomed grid goes unused)
-        values = _beta_expression(road, t_q, m_q, sigma_use, human * grid, (1.0 - human) * grid)
+    for zoom in range(4):  # the grid, then three zooms
+        if zoom:
+            j = values.argmax(axis=1)[:, None] + neighbours
+            ends = grid[lanes, np.minimum(np.maximum(j, 0), 1200)]
+            grid = _spaced(ends[:, :1], ends[:, 1:], 1201)
+        values = _gain(grid, m_lane, t_q, m_q, sigma_use)
         best = max(best, float(values.max()))
-        j = np.argmax(values, axis=1)
-        grid = np.linspace(grid[lanes, np.maximum(j - 1, 0)],
-                           grid[lanes, np.minimum(j + 1, grid.shape[1] - 1)], 1201, axis=1)
-    interior = np.linspace(0.0, bound, 41)
-    gx, gy = np.meshgrid(interior, interior)
-    return max(best, float(np.max(_beta_expression(road, t_q, m_q, sigma_use, gx, gy))))
+    interior = _spaced(0.0, bound, 41)
+    values = _beta_expression(road, t_q, m_q, sigma_use, interior, interior[:, None])
+    return max(best, float(values.max()))
 
 
 def beta_network_estimate(net: Network, samples: int = 256, seed: int = 0) -> float:
@@ -232,7 +258,8 @@ def verify_lemma_agg_poa_ratio(road: Road, x_eq: float, y_eq: float,
         raise errors.InvalidOrderError(f"expected f <= g, got ({f}, {g})")
     if g <= 0:
         raise errors.InvalidParameterError("g must be > 0")
-    c_f, c_g = aggregate_cost(road, x_eq, y_eq)(np.array([f, g])).tolist()
+    agg = aggregate_cost(road, x_eq, y_eq)
+    c_g, c_f = agg(g), agg(f)  # g first: a non-finite flow is reported before a negative f
     if c_g <= 0:
         return True
     return c_f / c_g + 1e-12 >= (f / g) ** road.sigma
@@ -246,8 +273,8 @@ def verify_lemma_agg_opt(road: Road, x: float, y: float) -> bool:
     """
     _check_flow_pair(x, y)
     t = x + y
-    mixed, human, auto = _latencies(_arrays_for((road,)), np.array([x, t, 0.0]),
-                                    np.array([y, 0.0, t])).tolist()
+    p = _road_floats(road)
+    mixed, human, auto = _road_latency(p, x, y), _road_latency(p, t, 0.0), _road_latency(p, 0.0, t)
     lhs = road.headway_ratio ** road.sigma * mixed
     rhs = max(human, auto)
     return lhs >= rhs - 1e-12 * (1.0 + abs(rhs))

@@ -21,6 +21,11 @@ with ``m2`` 1 on model-2 roads and 0 on model-1 roads: under model 2 the
 at zero flow. ``capacity`` states the rule itself, ``d / average_spacing``,
 and is the reference the tests hold the kernel to.
 
+The kernel runs on numpy arrays of roads, or on one road's coefficients as
+Python floats (``_road_floats``) at float flows, which skips numpy's per-call
+dispatch. The two agree to a few ulps: numpy's vectorized ``power`` and the C
+library's ``pow`` may round ``r**sigma`` differently.
+
 The duplicated cost vector ``c(z)`` repeats each road's latency twice so that
 both vehicle classes see identical delays; its Jacobian is block diagonal in
 2x2 road blocks because delays are separable across roads.
@@ -38,10 +43,10 @@ from . import errors
 from .network import CapacityModel, Network, Road, _flow_array
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen one builds about 6x slower, once per one-road call
 class _RoadArrays:
-    """Per-road parameters, and the kernel's coefficients, as aligned
-    read-only numpy arrays."""
+    """Per-road parameters, and the kernel's coefficients: aligned read-only
+    numpy arrays over roads, or one road's Python floats."""
 
     freeflow: np.ndarray
     rho: np.ndarray
@@ -56,20 +61,30 @@ class _RoadArrays:
     sigma_less1: np.ndarray
 
 
+def _coefficients(freeflow, rho, sigma, h, hbar, d, m2) -> _RoadArrays:
+    """The kernel's parameters and coefficients from the road parameters
+    (``m2`` is 1 on model-2 roads and 0 on model-1 roads), given as arrays over
+    roads or as one road's floats."""
+    return _RoadArrays(freeflow, rho, sigma, h, hbar, d, h / d, hbar / d,
+                       m2 * (hbar - h) / d, freeflow * rho * sigma, sigma - 1.0)
+
+
 @functools.lru_cache(maxsize=256)
 def _arrays_for(roads: tuple[Road, ...]) -> _RoadArrays:
-    freeflow, rho, sigma, h, hbar, d = (
-        np.array([getattr(r, name) for r in roads], dtype=float)
-        for name in ("freeflow", "rho", "sigma", "headway", "platoon_headway", "length"))
-    m2 = np.array([r.capacity_model is CapacityModel.MODEL2 for r in roads], dtype=float)
-    fields = dict(
-        freeflow=freeflow, rho=rho, sigma=sigma, h=h, hbar=hbar, d=d,
-        h_d=h / d, hbar_d=hbar / d, mixed_d=m2 * (hbar - h) / d,
-        slope=freeflow * rho * sigma, sigma_less1=sigma - 1.0,
-    )
-    for a in fields.values():
-        a.setflags(write=False)
-    return _RoadArrays(**fields)
+    p = _coefficients(
+        *(np.array([getattr(r, name) for r in roads], dtype=float)
+          for name in ("freeflow", "rho", "sigma", "headway", "platoon_headway", "length")),
+        m2=np.array([r.capacity_model is CapacityModel.MODEL2 for r in roads], dtype=float))
+    for name in p.__slots__:
+        getattr(p, name).setflags(write=False)
+    return p
+
+
+def _road_floats(road: Road) -> _RoadArrays:
+    """One road's parameters and coefficients as Python floats."""
+    return _coefficients(float(road.freeflow), float(road.rho), float(road.sigma),
+                         float(road.headway), float(road.platoon_headway), float(road.length),
+                         float(road.capacity_model is CapacityModel.MODEL2))
 
 
 def _net_arrays(net: Network) -> _RoadArrays:
@@ -78,9 +93,9 @@ def _net_arrays(net: Network) -> _RoadArrays:
 
 def _congestion(p: _RoadArrays, x: np.ndarray, y: np.ndarray):
     """(r, alpha, 1 - alpha, x + y) per road: the congestion ratio, the autonomy
-    level (0 at zero flow), its complement and the total flow."""
+    level (0 at zero flow), its complement and the total flow. Floats or arrays."""
     t = x + y
-    alpha = y / np.where(t > 0, t, 1.0)
+    alpha = y / (t + (t == 0))  # a zero total divides by 1
     human = 1.0 - alpha
     return p.h_d * x + (p.hbar_d - p.mixed_d * human) * y, alpha, human, t
 
@@ -136,11 +151,20 @@ def capacity(road: Road, x: float, y: float) -> float:
     return road.length / _spacing(road, autonomy_level(x, y))
 
 
+def _road_latency(p: _RoadArrays, x: float, y: float) -> float:
+    """The kernel's latency on one road's float coefficients ``p`` at float
+    flows. Where ``r**sigma`` overflows, which raises on floats, it runs on
+    numpy scalars, which give inf as arrays do."""
+    try:
+        return float(_latencies(p, x, y))
+    except OverflowError:
+        return float(_latencies(p, np.float64(x), np.float64(y)))
+
+
 def link_cost(road: Road, x: float, y: float) -> float:
     """Latency on one road at flows (x, y)."""
     _check_flow_pair(x, y)
-    p = _arrays_for((road,))
-    return float(_latencies(p, np.array([x]), np.array([y]))[0])
+    return _road_latency(_road_floats(road), x, y)
 
 
 def _duplicated_costs(net: Network, z: np.ndarray) -> np.ndarray:

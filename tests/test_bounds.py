@@ -5,7 +5,7 @@ import pytest
 
 import mar
 from mar import errors
-from mar.bounds import _best_optimum
+from mar.bounds import _best_optimum, _beta_expression, _spaced
 from mar.costs import _spacing, capacity
 
 from factories import grid_net, parallel_net, random_road, random_network, symmetric_pair
@@ -246,7 +246,51 @@ def reference_beta_road_numeric(road, v, w, sigma_use):
     return max(best, float(np.max(gain(gx, gy))))
 
 
+def reference_lane_search(road, v, w, sigma_use):
+    """``beta_road_numeric``'s search with every point on ``_beta_expression``:
+    both axes as lanes of ``np.linspace`` grids, three zooms, and the 41x41
+    interior grid from ``np.meshgrid``."""
+    t_q, m_q = v + w, capacity(road, v, w)
+    bound = 3.0 * t_q * road.headway_ratio
+    human = np.array([[1.0], [0.0]])  # lane 0 deviates along x, lane 1 along y
+    lanes = np.arange(2)
+    grid = np.linspace(0.0, np.full(2, bound), 1201, axis=1)
+    best = 0.0
+    for zoom in range(4):
+        if zoom:
+            j = np.argmax(values, axis=1)
+            grid = np.linspace(grid[lanes, np.maximum(j - 1, 0)],
+                               grid[lanes, np.minimum(j + 1, 1200)], 1201, axis=1)
+        values = _beta_expression(road, t_q, m_q, sigma_use, human * grid, (1.0 - human) * grid)
+        best = max(best, float(values.max()))
+    gx, gy = np.meshgrid(np.linspace(0.0, bound, 41), np.linspace(0.0, bound, 41))
+    return max(best, float(np.max(_beta_expression(road, t_q, m_q, sigma_use, gx, gy))))
+
+
+def property_samples(rng, count):
+    """Beta samples as the criterion-5 property blocks draw them: random roads
+    past the monotone envelope under both capacity models, reference flows in
+    [0, 3) and sigma 1, 2 or 4."""
+    for i in range(count):
+        road = random_road(rng, 1, "s", "t", monotone_envelope=False)
+        road = mar.Road(**{**road.__dict__, "capacity_model": list(mar.CapacityModel)[i % 2]})
+        v, w = (float(t) for t in rng.uniform(0, 3, size=2))
+        yield road, v if v + w >= 1e-9 else 0.5, w, float(rng.choice([1.0, 2.0, 4.0]))
+
+
 class TestBetaRoad:
+    def test_search_equals_the_lane_search_on_the_expression(self, rng):
+        for road, v, w, sigma in property_samples(rng, 200):
+            assert mar.beta_road_numeric(road, v, w, sigma) == reference_lane_search(
+                road, v, w, sigma)
+
+    def test_spaced_is_linspace(self, rng):
+        for _ in range(50):
+            lo, hi = np.sort(rng.uniform(0, 10, size=(2, 2)), axis=0)
+            assert np.array_equal(_spaced(lo[:, None], hi[:, None], 1201),
+                                  np.linspace(lo, hi, 1201, axis=1))
+            assert np.array_equal(_spaced(0.0, hi[0], 41), np.linspace(0.0, hi[0], 41))
+
     def test_grid_zoom_matches_golden_section_reference(self, rng):
         for _ in range(500):
             road = random_road(rng, 1, "s", "t", monotone_envelope=False)

@@ -3,7 +3,7 @@ import pytest
 
 import mar
 from mar import errors
-from mar.costs import _arrays_for, _latencies, _latency_partials
+from mar.costs import _arrays_for, _congestion, _latencies, _latency_partials, _road_floats
 
 from factories import parallel_net, random_road
 
@@ -161,6 +161,48 @@ def test_kernel_matches_the_per_model_forms(rng):
         assert np.all(np.abs(c - ref_c) <= 1e-13 * ref_c)
         assert np.all(np.abs(dcdx - ref_dx) <= 1e-13 * scale)
         assert np.all(np.abs(dcdy - ref_dy) <= 1e-13 * scale)
+
+
+def test_float_kernel_matches_the_array_kernel(rng):
+    # both capacity models and headway orientations, model-2 roads past the
+    # monotone envelope (platoon headway above twice the plain one), and zero
+    # flow in either class or both
+    roads = [mar.Road(**{**road.__dict__, "capacity_model": model})
+             for i in range(150)
+             for road in [random_road(rng, 1, "s", "t", monotone_envelope=i % 2 == 0)]
+             for model in mar.CapacityModel]
+    roads += [bpr_road(headway=h, platoon_headway=h * rng.uniform(2.05, 4.0),
+                       sigma=float(rng.choice([1.0, 2.0, 4.0])), rho=rng.uniform(0.05, 1.5),
+                       capacity_model=mar.CapacityModel.MODEL2)
+              for h in rng.uniform(0.5, 3.0, size=100)]
+    assert len({(r.capacity_model, r.platoon_headway > r.headway) for r in roads}) == 4
+    for road in roads:
+        p = _arrays_for((road,))
+        agg = mar.aggregate_cost(road, *(float(a) for a in rng.uniform(0, 3, size=2)))
+        for x, y in [rng.uniform(0, 4, size=2), (0.0, 1.7), (2.3, 0.0), (0.0, 0.0)]:
+            x, y = float(x), float(y)
+            value = mar.link_cost(road, x, y)
+            assert type(value) is float
+            assert value == pytest.approx(
+                _latencies(p, np.array([x]), np.array([y]))[0], rel=1e-14)
+            f = x + y  # the costlier class carries min(f, anchor), the other the rest
+            costly = min(f, agg.anchor)
+            split = (f - costly, costly) if agg.swapped else (costly, f - costly)
+            assert agg(f) == pytest.approx(
+                _latencies(p, *(np.array([a]) for a in split))[0], rel=1e-14)
+        assert _congestion(_road_floats(road), 0.0, 0.0)[1] == 0.0
+        assert _congestion(p, np.zeros(1), np.zeros(1))[1][0] == 0.0
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.0])
+def test_float_kernel_overflow_gives_what_arrays_give(rho):
+    # r**sigma overflows: inf on arrays, so inf latency, or nan times rho = 0
+    road = bpr_road(sigma=400.0, rho=rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _latencies(_arrays_for((road,)), np.array([100.0]), np.array([0.0]))[0]
+        assert np.array_equal(mar.link_cost(road, 100.0, 0.0), expected, equal_nan=True)
+        assert np.array_equal(mar.aggregate_cost(road, 100.0, 0.0)(100.0), expected,
+                              equal_nan=True)
 
 
 class TestCostVector:

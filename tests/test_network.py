@@ -394,6 +394,19 @@ class TestCheckFeasible:
         bad = [2.0, 0.0, 0.0, 0.0]
         assert not mar.check_feasible(net, bad)
 
+    def test_balanced_flow_without_path_decomposition(self):
+        # flow 1 on s->t balances every node for the OD pairs s->a and a->t,
+        # but no path of either pair uses road s->t
+        roads = (mar.Road(rid=1, tail="s", head="a"), mar.Road(rid=2, tail="a", head="t"),
+                 mar.Road(rid=3, tail="s", head="t"))
+        net = mar.Network(nodes=("s", "a", "t"), roads=roads,
+                          od_pairs=(mar.ODPair("s", "a", 1.0, 0.0),
+                                    mar.ODPair("a", "t", 1.0, 0.0)))
+        report = mar.check_feasible(net, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        assert not report
+        assert report.max_conservation_residual <= 1e-12
+        assert report.detail == "no per-OD path decomposition for human flows"
+
 
 _ROAD = mar.Road(rid=1, tail="s", head="t")
 _NON_FINITE_ENTRY_POINTS = {

@@ -252,7 +252,8 @@ def verify_lemma_agg_poa_ratio(road: Road, x_eq: float, y_eq: float,
 
     Requires ``0 <= f <= g`` with ``g > 0``; allows 1e-12 slack on the ratio
     scale. Holds for both capacity models, both headway orientations, and on
-    every side of the anchor.
+    every side of the anchor. Raises ``InvalidParameterError`` where an
+    overflowing delay leaves no verdict.
     """
     if f > g:
         raise errors.InvalidOrderError(f"expected f <= g, got ({f}, {g})")
@@ -260,24 +261,41 @@ def verify_lemma_agg_poa_ratio(road: Road, x_eq: float, y_eq: float,
         raise errors.InvalidParameterError("g must be > 0")
     agg = aggregate_cost(road, x_eq, y_eq)
     c_g, c_f = agg(g), agg(f)  # g first: a non-finite flow is reported before a negative f
-    if c_g <= 0:
+    if c_g <= 0 or c_f / c_g + 1e-12 >= (f / g) ** road.sigma:
         return True
-    return c_f / c_g + 1e-12 >= (f / g) ** road.sigma
+    _check_no_overflow(road, c_g, c_f)
+    return False
 
 
 def verify_lemma_agg_opt(road: Road, x: float, y: float) -> bool:
     """Check ``k_road**sigma * c(x, y) >= max(c(x+y, 0), c(0, x+y))``.
 
     Relates a mixed composition's cost to the worse single-class cost of the
-    same total flow, with relative slack 1e-12.
+    same total flow, with relative slack 1e-12. Raises ``InvalidParameterError``
+    where an overflowing delay leaves no verdict.
     """
     _check_flow_pair(x, y)
     t = x + y
     p = _road_floats(road)
     mixed, human, auto = _road_latency(p, x, y), _road_latency(p, t, 0.0), _road_latency(p, 0.0, t)
-    lhs = road.headway_ratio ** road.sigma * mixed
+    try:
+        lhs = road.headway_ratio ** road.sigma * mixed
+    except OverflowError:  # k**sigma is past the float range
+        lhs = math.inf if mixed > 0 else 0.0
     rhs = max(human, auto)
-    return lhs >= rhs - 1e-12 * (1.0 + abs(rhs))
+    if lhs >= rhs - 1e-12 * (1.0 + abs(rhs)):
+        return True
+    _check_no_overflow(road, mixed, human, auto)
+    return False
+
+
+def _check_no_overflow(road: Road, *delays: float) -> None:
+    """Raise before a lemma check reports a violation unless its delays are
+    finite: a delay that overflows is inf (nan with rho 0), and the check's
+    arithmetic on it gives nan, which would read as a violation."""
+    if not all(map(math.isfinite, delays)):
+        raise errors.InvalidParameterError(
+            f"road {road.rid}: delays overflow at these flows: {delays}")
 
 
 @dataclass(frozen=True)

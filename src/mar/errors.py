@@ -54,7 +54,7 @@ class InvalidOrderError(MarError):
 
 
 class TooLargeError(MarError):
-    """Instance exceeds the brute-force enumeration guard."""
+    """Instance exceeds a size or work cap: a guard, a count or an iteration cap."""
 
 
 class SchemaError(MarError):

@@ -22,7 +22,7 @@ parameters, as sweep steps do. ``path_table`` adds a network's demands.
 
 All types are immutable after construction and validate their invariants on
 construction. Feasibility of a raw link-flow vector is decided by decomposing
-it into per-OD path flows.
+it into per-OD path flows, on the simplex projection the optimum also uses.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ MAX_PATHS = 100_000
 #: Relative tolerance of the demand totals and flow conservation that
 #: ``validate_assignment`` and ``check_feasible`` check.
 FLOW_TOL = 1e-9
+
+#: Relative Euclidean tolerance of ``check_feasible``'s path decomposition; in
+#: float64 it certifies "none" only well above sqrt(eps) times the flows.
+DECOMPOSE_TOL = 1e-6
 
 
 def _check_finite(owner: str, **values: float) -> None:
@@ -405,10 +409,12 @@ def _flow_array(net: Network, z) -> np.ndarray:
 def check_feasible(net: Network, z) -> FeasibilityReport:
     """Decide whether link flows ``z`` are realizable by some valid assignment.
 
-    Runs a per-node, per-class flow-conservation check against the OD demands
-    and then a per-OD path-flow decomposition (a small feasibility LP over the
-    enumerated paths). ``z`` may be a FlowVector or any interleaved sequence;
-    a negative entry gives an infeasible report, a non-finite one raises.
+    Runs a per-node, per-class flow-conservation check within ``FLOW_TOL`` and
+    then a per-OD path decomposition of the classes that conserve within
+    ``DECOMPOSE_TOL`` (both times ``1 + largest OD demand``), which certifies
+    either verdict or raises ``TooLargeError``. ``z`` may be a FlowVector or any
+    interleaved sequence; a negative entry gives an infeasible report, a
+    non-finite one raises.
     """
     try:
         arr = _flow_array(net, z)
@@ -417,45 +423,59 @@ def check_feasible(net: Network, z) -> FeasibilityReport:
     scale = 1.0 + max(od.total_demand for od in net.od_pairs)
 
     table = path_table(net)
-    worst = 0.0
-    for cls, flows, demands in (("human", arr[0::2], table.demand_human),
-                                ("auto", arr[1::2], table.demand_auto)):
+    flows = arr.reshape(-1, 2).T  # rows: human, auto
+    residuals = []
+    for k, demands in enumerate((table.demand_human, table.demand_auto)):
         expected = {n: 0.0 for n in net.nodes}
         for od, d in zip(net.od_pairs, demands):
             expected[od.origin] += d
             expected[od.destination] -= d
         balance = {n: 0.0 for n in net.nodes}
         for i, road in enumerate(net.roads):
-            balance[road.tail] += flows[i]
-            balance[road.head] -= flows[i]
-        residual = max(abs(balance[n] - expected[n]) for n in net.nodes)
-        worst = max(worst, residual)
-        if residual > FLOW_TOL * scale:
+            balance[road.tail] += flows[k, i]
+            balance[road.head] -= flows[k, i]
+        residuals.append(max(abs(balance[n] - expected[n]) for n in net.nodes))
+    conserves = np.array(residuals) <= FLOW_TOL * scale
+    # one solve decides the classes that conserve, if the human class does
+    decomposes = conserves[0] and _decomposes(table, flows, DECOMPOSE_TOL * scale, conserves)
+    for k, cls in enumerate(("human", "auto")):
+        worst = max(0.0, *residuals[:k + 1])
+        if not conserves[k]:
             return FeasibilityReport(False, worst,
-                                     f"{cls} conservation residual {residual:.3g}")
-        if not _decomposes(table, flows, demands):
+                                     f"{cls} conservation residual {residuals[k]:.3g}")
+        if not decomposes[k]:
             return FeasibilityReport(False, worst,
                                      f"no per-OD path decomposition for {cls} flows")
     return FeasibilityReport(True, worst)
 
 
-def _decomposes(table: "PathTable", link_flows: np.ndarray, demands: np.ndarray) -> bool:
-    # Feasibility LP: find path flows p >= 0 with incidence @ p = link_flows
-    # and per-OD totals equal to the demands. SciPy is imported here, as its
-    # only use, to keep it off the start-up path of ``import mar``.
-    from scipy.optimize import linprog
+#: Iterations after which ``_decomposes`` raises ``TooLargeError``.
+_DECOMPOSE_ITERATIONS = 5_000
 
-    n_paths = table.total_paths
-    n_od = len(table.blocks)
-    owner = np.nonzero(table.valid[:n_od])[0]  # the OD pair of each path column
-    block_rows = (owner == np.arange(n_od)[:, None]).astype(float)
-    a_eq = np.vstack([table.incidence, block_rows])
-    b_eq = np.concatenate([link_flows, demands])
-    res = linprog(
-        np.zeros(n_paths), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-9},
-    )
-    return res.status == 0
+
+def _decomposes(table: "PathTable", flows: np.ndarray, tol: float,
+                wanted: np.ndarray) -> np.ndarray:
+    """Per class (rows of ``flows``: human, auto), whether path flows ``p`` on
+    its demand simplices come within ``tol``: FISTA (Beck & Teboulle, 2009) on
+    ``||r||^2 / 2``, ``r = incidence @ p - flows``, until each ``wanted`` class
+    has ``||r|| <= tol`` or, ``g = incidence.T @ r``, the Frank-Wolfe bound (Jaggi,
+    2013) ``(sum_blocks total * min_j g_j - r.flows) / ||r||`` on ``min_p ||r||``
+    above ``tol / 2``. Both tend to ``min_p ||r||``, so every class gets decided."""
+    a, n, step = table.incidence, table.total_paths, 1.0 / np.linalg.norm(table.incidence, 2) ** 2
+    p, w_old, fits, fails = table.uniform_start(), 0.0, False, ~wanted
+    for k in range(_DECOMPOSE_ITERATIONS):
+        r = p.reshape(2, n) @ a.T - flows
+        g = (r @ a).ravel()
+        norm = np.sqrt((r * r).sum(axis=1))
+        low = (np.where(table.valid, g[table.columns], np.inf).min(axis=1)
+               * table.totals).reshape(2, -1).sum(axis=1) - (r * flows).sum(axis=1)
+        fits, fails = fits | (norm <= tol), fails | (low > 0.5 * tol * norm)
+        if (fits | fails).all():
+            return fits
+        w = p - step * g  # the gradient is affine: FISTA's step from y extrapolates w
+        p, w_old = _project((w + k / (k + 3.0) * (w - w_old))[None], table)[0], w
+    raise errors.TooLargeError(f"path decomposition undecided after {_DECOMPOSE_ITERATIONS} "
+                               "iterations")
 
 
 @dataclass(frozen=True)
@@ -544,6 +564,24 @@ class PathTable:
         if z.min() < -1e-12:
             raise errors.NegativeFlowError(f"negative path flow {z.min()}")
         return np.clip(z, 0.0, None, out=z)
+
+
+def _project(v: np.ndarray, table: PathTable) -> np.ndarray:
+    """Euclidean projection of every row of ``v`` onto the product of the
+    simplices ``{p >= 0, sum(p) = total}`` of the table's blocks, by one padded
+    sort over all rows and blocks (Duchi et al., ICML 2008). A block's entries
+    drop by the threshold ``max_j (s_j - total) / j``, with ``s_j`` the sum of
+    its ``j`` largest entries (Held, Wolfe & Crowder, Math. Prog. 1974), and
+    clip at 0. Zero-demand blocks project to 0. The rows' blocks are
+    ``(rows, blocks, width)`` padded copies, sorted and clipped in place."""
+    w = v[:, table.columns]
+    # descending sort; -inf pads after each block's entries, so their averages are -inf
+    u = np.where(table.valid, w, -np.inf)
+    u.sort(axis=-1)
+    css = u[..., ::-1].cumsum(axis=-1) - table.totals[:, None]
+    w -= (css / np.arange(1, u.shape[-1] + 1)).max(axis=-1, keepdims=True)
+    proj = np.where(table.totals[:, None] > 0, np.maximum(w, 0.0, out=w), 0.0)
+    return proj[:, table.valid]  # valid entries, block by block, are the columns in order
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

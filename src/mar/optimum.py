@@ -23,7 +23,7 @@ import numpy as np
 
 from . import errors
 from .costs import _latencies, _latency_at, _latency_partials, _net_arrays
-from .network import Network, PathTable, _check_integer, path_table
+from .network import Network, PathTable, _check_integer, _project, path_table
 from .equilibrium import SolveResult, _result
 
 log = logging.getLogger("mar.optimum")
@@ -65,24 +65,6 @@ class OptimumConfig:
         _check_integer("seed", self.seed, 0)
         if not 0 < self.step_tolerance < np.inf:
             raise errors.InvalidParameterError("step_tolerance must be finite and > 0")
-
-
-def _project(v: np.ndarray, table: PathTable) -> np.ndarray:
-    """Euclidean projection of every row of ``v`` onto the product of the
-    simplices ``{p >= 0, sum(p) = total}`` of the table's blocks, by one padded
-    sort over all rows and blocks (Duchi et al., ICML 2008). A block's entries
-    drop by the threshold ``max_j (s_j - total) / j``, with ``s_j`` the sum of
-    its ``j`` largest entries (Held, Wolfe & Crowder, Math. Prog. 1974), and
-    clip at 0. Zero-demand blocks project to 0. The rows' blocks are
-    ``(rows, blocks, width)`` padded copies, sorted and clipped in place."""
-    w = v[:, table.columns]
-    # descending sort; -inf pads after each block's entries, so their averages are -inf
-    u = np.where(table.valid, w, -np.inf)
-    u.sort(axis=-1)
-    css = u[..., ::-1].cumsum(axis=-1) - table.totals[:, None]
-    w -= (css / np.arange(1, u.shape[-1] + 1)).max(axis=-1, keepdims=True)
-    proj = np.where(table.totals[:, None] > 0, np.maximum(w, 0.0, out=w), 0.0)
-    return proj[:, table.valid]  # valid entries, block by block, are the columns in order
 
 
 def _class_norms(v: np.ndarray, n: int) -> np.ndarray:

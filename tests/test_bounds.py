@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mar
-from mar import errors
+from mar import bounds, errors
 from mar.bounds import _best_optimum, _beta_expression, _spaced
 from mar.costs import _spacing, capacity
 
@@ -418,6 +419,36 @@ class TestLemmaVerifiers:
         assert type(mar.verify_lemma_agg_poa_ratio(road, 1.0, 0.5, 0.0, 2.0)) is bool
         assert type(mar.verify_lemma_agg_opt(road, 1.0, 0.5)) is bool
         assert type(mar.verify_lemma_agg_opt(road, 0.0, 0.0)) is bool
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on inf and nan delays
+    @pytest.mark.parametrize("model", list(mar.CapacityModel))
+    @pytest.mark.parametrize("rho", [0.15, 0.0], ids=["inf", "nan"])
+    @pytest.mark.parametrize("check", [
+        lambda road: mar.verify_lemma_agg_opt(road, 50.0, 60.0),
+        lambda road: mar.verify_lemma_agg_poa_ratio(road, 50.0, 60.0, 50.0, 110.0)],
+        ids=["agg_opt", "poa_ratio"])
+    def test_overflowing_delays_raise(self, model, rho, check):
+        # r**400 overflows: the delay is inf, or nan with rho 0, and a
+        # comparison on it would read as a violation
+        road = mar.Road(1, "s", "t", headway=3.0, sigma=400.0, rho=rho, capacity_model=model)
+        with pytest.raises(errors.InvalidParameterError, match="delays overflow"):
+            check(road)
+
+    def test_finite_violations_are_reported(self, monkeypatch):
+        # the overflow check runs only on the way to a violation; with finite
+        # delays that break an inequality, each verifier still answers False
+        road = mar.Road(1, "s", "t")
+        monkeypatch.setattr(bounds, "_road_latency", lambda p, x, y: 0.0 if x and y else 1.0)
+        assert not mar.verify_lemma_agg_opt(road, 1.0, 1.0)
+        monkeypatch.setattr(bounds, "aggregate_cost",
+                            lambda road, x, y: lambda t: t ** (road.sigma + 1.0))
+        assert not mar.verify_lemma_agg_poa_ratio(road, 1.0, 1.0, 1.0, 2.0)
+
+    def test_agg_opt_holds_where_the_ratio_power_overflows(self):
+        # 1000**200 is past the float range, the delays at small flows are not
+        road = asym_road(1.0, 1000.0, sigma=200.0)
+        assert mar.verify_lemma_agg_opt(road, 1e-3, 1e-3)
+        assert mar.verify_lemma_agg_opt(dataclasses.replace(road, freeflow=0.0), 1e-3, 1e-3)
 
     def test_agg_opt_random_sample(self, rng):
         for _ in range(500):

@@ -796,6 +796,39 @@ class TestMainCli:
         assert capsys.readouterr().err == (
             "error: the equilibrium experiment requires a 'network' section\n")
 
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only: with it unimportable, import mar,
+        # check_feasible's two verdicts and every verb and demo work, and each
+        # run exits as it does here and writes the same report
+        scenario = tmp_path / "s.json"
+        scenario.write_text(scenario_text(
+            optimum={"restarts": 2},
+            sweep={"parameter": "autonomy_share", "start": 0.0, "stop": 1.0, "steps": 3}))
+        runs = {name: ["demo", name] for name in mar.DEMO_NAMES}
+        runs.update({verb: [verb, "--scenario", str(scenario)]
+                     for verb in ("eq", "opt", "bounds", "poa", "bicriteria", "sweep")})
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # every import of scipy now raises\n"
+            "import mar\n"
+            "roads = [mar.Road(1, 's', 'a'), mar.Road(2, 'a', 't'), mar.Road(3, 's', 't')]\n"
+            "net = mar.Network(('s', 'a', 't'), roads,\n"
+            "                  (mar.ODPair('s', 'a', 1, 0), mar.ODPair('a', 't', 1, 0)))\n"
+            "verdicts = [bool(mar.check_feasible(net, z))\n"
+            "            for z in ([1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0])]\n"
+            "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "codes = {k: mar.main(a + ['--out', f'{out}/blocked-{k}']) for k, a in runs.items()}\n"
+            "print(json.dumps([verdicts, codes]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(mar.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        verdicts, codes = json.loads(done.stdout)
+        assert verdicts == [True, False]
+        for key, args in runs.items():
+            out = tmp_path / f"here-{key}"
+            assert codes[key] == main(args + ["--out", str(out)]) == 0
+            assert (tmp_path / f"blocked-{key}").read_bytes() == out.read_bytes()
+
     def test_module_entry_point_runs_without_warnings(self):
         # ``import mar`` must not load mar.cli, or runpy warns on ``-m mar.cli``
         env = {**os.environ, "PYTHONPATH": str(Path(mar.__file__).resolve().parents[1])}

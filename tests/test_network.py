@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mar
-from mar import errors
+from mar import errors, network
 
 from factories import (
     grid_net, parallel_net, random_assignment, random_network, separate_parallel, triangle_net)
@@ -98,7 +98,8 @@ def test_build_network_from_mapping():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only check_feasible needs scipy.optimize; it imports it on first use
+    # mar needs no scipy at all (see test_cli's scipy-blocked run); scipy stays
+    # a test dependency, for the reference LP of check_feasible below
     src = str(Path(mar.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", "import sys, mar; print('scipy.optimize' in sys.modules)"],
@@ -406,6 +407,187 @@ class TestCheckFeasible:
         assert not report
         assert report.max_conservation_residual <= 1e-12
         assert report.detail == "no per-OD path decomposition for human flows"
+
+    def test_verdicts_agree_with_the_reference_lp(self, rng):
+        # flows of random assignments, a third of them perturbed well past the
+        # tolerance and a third by a tenth of it
+        verdicts = []
+        for i in range(300):
+            net = random_network(rng)
+            z = mar.to_link_flows(net, random_assignment(net, rng)).interleaved.copy()
+            if i % 3 == 1:
+                z += rng.uniform(0, 0.5, z.size) * (rng.random(z.size) < 0.3)
+            elif i % 3 == 2:
+                z += 0.1 * network.FLOW_TOL * rng.random(z.size)
+            expected = reference_verdicts(net, z)
+            got = network._decomposes(mar.path_table(net), z.reshape(-1, 2).T,
+                                      decompose_tol(net), np.ones(2, bool))
+            assert got.tolist() == expected
+            verdicts.append(bool(mar.check_feasible(net, z)))
+            assert verdicts[-1] == all(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_grid_circulation_verdicts_agree_with_the_reference_lp(self):
+        # a human circulation around one unit square keeps every node balanced;
+        # whether the paths can still carry it depends on its size, down to a
+        # few times either tolerance
+        verdicts = []
+        tiny = [3 * network.FLOW_TOL, 3 * network.DECOMPOSE_TOL]
+        for k, size in enumerate([0.05, 0.5, 2.0] * 4 + tiny * 2):
+            net, z0 = grid_flows(k)
+            z = z0 + size * grid_circulation(net)
+            verdicts.append(bool(mar.check_feasible(net, z)))
+            assert verdicts[-1] == all(reference_verdicts(net, z))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_flows_a_few_tolerances_off_get_a_certified_verdict(self, rng):
+        # perturbed by 1, 3 or 10 times either tolerance, a class is decided:
+        # "decomposes" puts path flows within DECOMPOSE_TOL (scaled) of it, so
+        # the least worst-road miss is at most that; "does not" certifies a
+        # Euclidean miss above half of it, so a worst-road miss above that over
+        # the square root of the road count
+        verdicts = []
+        for i in range(120):
+            net = random_network(rng)
+            z = mar.to_link_flows(net, random_assignment(net, rng)).interleaved.copy()
+            tol = (network.FLOW_TOL, network.DECOMPOSE_TOL)[i % 2]
+            z += (1, 3, 10)[i % 3] * tol * (1.0 + z.max()) * rng.random(z.size)
+            mar.check_feasible(net, z)  # never raises
+            verdicts += assert_certified(net, z)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_flows_at_the_edge_of_decomposable_get_a_certified_verdict(self):
+        # between a grid's flows and the same flows with a circulation of 2 the
+        # paths cannot carry, the reference LP's last decomposable point t is
+        # the edge; within a few tolerances past it, several paths of a block
+        # tie at the least residual cost, where a residual's rounding matters
+        verdicts = []
+        for k in range(3):
+            net, z0 = grid_flows(k)
+            step = 2.0 * grid_circulation(net)
+            table = mar.path_table(net)
+            lo, hi = 0.0, 1.0
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                if lp_decomposes(table, (z0 + mid * step)[0::2], table.demand_human):
+                    lo = mid
+                else:
+                    hi = mid
+            for dt in (-1e-6, 1e-8, 1e-6, 3e-6, 1e-4):
+                z = z0 + (lo + dt) * step
+                mar.check_feasible(net, z)  # never raises
+                verdicts += assert_certified(net, z)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_auto_flows_that_do_not_conserve_are_not_decomposed(self, monkeypatch):
+        # the one solve leaves out a class that already fails conservation, so
+        # such a class cannot exhaust the iteration cap
+        net = grid_net(4)
+        table = mar.path_table(net)
+        z = mar.to_link_flows(net, table.assignment(
+            table.random_start(np.random.default_rng(0)))).interleaved.copy()
+        z[1::2] += 3 * network.FLOW_TOL * (1.0 + z.max()) * grid_circulation(net)[0::2]
+        z[1] += 5 * network.FLOW_TOL * (1.0 + z.max())
+        asked = []
+        solve = network._decomposes
+        monkeypatch.setattr(network, "_decomposes",
+                            lambda *args: asked.append(args[3].tolist()) or solve(*args))
+        report = mar.check_feasible(net, z)
+        assert report.detail.startswith("auto conservation residual")
+        assert asked == [[True, False]]
+
+    def test_undecided_at_the_iteration_cap_raises(self, monkeypatch):
+        net = grid_net(4)
+        table = mar.path_table(net)
+        z = mar.to_link_flows(net, table.assignment(
+            table.random_start(np.random.default_rng(0))))
+        assert mar.check_feasible(net, z)
+        monkeypatch.setattr(network, "_DECOMPOSE_ITERATIONS", 1)
+        with pytest.raises(errors.TooLargeError, match="undecided after 1 iterations"):
+            mar.check_feasible(net, z)
+
+
+def block_rows(table):
+    """Per OD pair, the 0/1 row of its path columns."""
+    n_od = len(table.blocks)
+    owner = np.nonzero(table.valid[:n_od])[0]  # the OD pair of each path column
+    return (owner == np.arange(n_od)[:, None]).astype(float)
+
+
+def lp_decomposes(table, link_flows, demands):
+    """The linear program check_feasible decided path decomposition with
+    before, kept as the reference: path flows ``p >= 0`` with ``incidence @ p
+    = link_flows`` and per-OD totals equal to the demands."""
+    from scipy.optimize import linprog
+
+    res = linprog(np.zeros(table.total_paths),
+                  A_eq=np.vstack([table.incidence, block_rows(table)]),
+                  b_eq=np.concatenate([link_flows, demands]), bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-9})
+    return res.status == 0
+
+
+def lp_distance(table, link_flows, demands):
+    """The least worst-road miss ``max|incidence @ p - link_flows|`` over path
+    flows ``p >= 0`` with per-OD totals equal to the demands, by a linear
+    program in ``(p, t)`` with ``-t <= incidence @ p - link_flows <= t``."""
+    from scipy.optimize import linprog
+
+    a, ones = table.incidence, np.ones((len(table.incidence), 1))
+    rows = block_rows(table)
+    res = linprog(np.eye(table.total_paths + 1)[-1],
+                  A_ub=np.block([[a, -ones], [-a, -ones]]),
+                  b_ub=np.concatenate([link_flows, -link_flows]),
+                  A_eq=np.hstack([rows, np.zeros((len(rows), 1))]), b_eq=demands,
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return res.fun
+
+
+def decompose_tol(net):
+    return network.DECOMPOSE_TOL * (1.0 + max(od.total_demand for od in net.od_pairs))
+
+
+def assert_certified(net, z):
+    """Per class, ``_decomposes``'s verdict on link flows ``z``, checked
+    against the least worst-road miss that it certifies."""
+    table, tol = mar.path_table(net), decompose_tol(net)
+    flows = np.asarray(z).reshape(-1, 2).T
+    got = network._decomposes(table, flows, tol, np.ones(2, bool))
+    for fits, f, d in zip(got, flows, (table.demand_human, table.demand_auto)):
+        miss = lp_distance(table, f, d)
+        if fits:
+            assert miss <= tol + 1e-9
+        else:
+            assert miss > 0.5 * tol / np.sqrt(net.n_roads) - 1e-9
+    return got.tolist()
+
+
+def grid_flows(seed):
+    """A 4x4 grid and the interleaved link flows of a random assignment on it."""
+    net = grid_net(4, np.random.default_rng(seed))
+    table = mar.path_table(net)
+    return net, mar.to_link_flows(net, table.assignment(
+        table.random_start(np.random.default_rng(100 + seed)))).interleaved.copy()
+
+
+def grid_circulation(net):
+    """Interleaved link flows of a unit human circulation around the grid's
+    first unit square."""
+    index = {(road.tail, road.head): i for i, road in enumerate(net.roads)}
+    c = np.zeros(2 * net.n_roads)
+    for ends in (("n0_0", "n0_1"), ("n0_1", "n1_1"), ("n1_1", "n1_0"), ("n1_0", "n0_0")):
+        c[2 * index[ends]] = 1.0
+    return c
+
+
+def reference_verdicts(net, z):
+    """Per class, the reference LP's verdict on link flows ``z``."""
+    table = mar.path_table(net)
+    return [lp_decomposes(table, f, d)
+            for f, d in zip(z.reshape(-1, 2).T, (table.demand_human, table.demand_auto))]
 
 
 _ROAD = mar.Road(rid=1, tail="s", head="t")

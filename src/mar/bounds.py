@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .costs import _check_flow_pair, _latencies, _road_floats, _road_latency, _spacing, capacity
+from .costs import _check_flow_pair, _road_floats, _road_latency, _spacing, capacity
 from .equilibrium import EquilibriumConfig, SolveResult, solve_equilibrium
 from .network import CapacityModel, Network, ODPair, Road, _check_integer, path_table
 from .optimum import OptimumConfig, brute_force_optimum, solve_optimum
@@ -97,36 +97,26 @@ def poa_bounds(net: Network) -> BoundsReport:
 class AggregateCost:
     """Single-class latency anchored at an equilibrium flow split.
 
-    ``agg(f)`` is the road's two-class latency when the costlier vehicle
-    class, the one with the ``big`` headway, carries ``min(f, anchor)`` and
-    the other class carries the rest: below the anchor the whole flow pays
-    the big headway. ``swapped`` means the costlier class is the autonomous
-    one. At ``f = x_eq + y_eq`` the value is the equilibrium latency.
+    ``agg(f)``, for one float flow ``f``, is the road's two-class latency when
+    the costlier class, the one with the larger headway, carries ``min(f,
+    anchor)`` and the other class the rest: below the anchor the whole flow
+    pays the larger headway. ``swapped`` means the costlier class is the
+    autonomous one. At ``f = x_eq + y_eq`` the value is the equilibrium latency.
     """
 
     road: Road
     anchor: float
-    big: float
-    small: float
     swapped: bool
 
-    def __call__(self, f):
-        scalar = np.isscalar(f)
-        if scalar:  # the kernel on floats
-            f = float(f)
-            finite, lowest, costly = math.isfinite(f), f, min(self.anchor, f)
-        else:
-            f = np.asarray(f, dtype=float)
-            finite, lowest = np.isfinite(f).all(), f.min(initial=0.0)
-            costly = np.minimum(f, self.anchor)
-        if not finite:
+    def __call__(self, f: float) -> float:
+        f = float(f)
+        if not math.isfinite(f):
             raise errors.InvalidParameterError("aggregate flow must be finite")
-        if lowest < 0:
+        if f < 0:
             raise errors.NegativeFlowError("aggregate flow must be >= 0")
-        rest = f - costly
-        x, y = (rest, costly) if self.swapped else (costly, rest)
-        p = _road_floats(self.road)
-        return _road_latency(p, x, y) if scalar else np.asarray(_latencies(p, x, y))
+        costly = min(self.anchor, f)
+        x, y = (f - costly, costly) if self.swapped else (costly, f - costly)
+        return _road_latency(_road_floats(self.road), x, y)
 
 
 def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
@@ -137,9 +127,7 @@ def aggregate_cost(road: Road, x_eq: float, y_eq: float) -> AggregateCost:
     """
     _check_flow_pair(x_eq, y_eq, what="equilibrium flows")
     swapped = road.platoon_headway > road.headway  # the platooned class is costlier
-    big, small = sorted((road.headway, road.platoon_headway), reverse=True)
-    return AggregateCost(road=road, anchor=y_eq if swapped else x_eq, big=big, small=small,
-                         swapped=swapped)
+    return AggregateCost(road=road, anchor=y_eq if swapped else x_eq, swapped=swapped)
 
 
 def _check_reference(road: Road, v: float, w: float) -> None:
@@ -167,9 +155,8 @@ def _beta_expression(road: Road, t_q: float, m_q: float, sigma_use: float, x, y)
     """The deviation-gain expression maximized by beta, vectorized over (x, y),
     against a reference of total flow ``t_q`` and capacity ``m_q``."""
     t_z = x + y
-    # capacity at (x, y), with the zero-flow convention alpha = 0
-    safe_t = np.where(t_z > 0, t_z, 1.0)
-    m_z = road.length / _spacing(road, np.where(t_z > 0, y / safe_t, 0.0))
+    # capacity at (x, y), with the kernel's zero-flow convention alpha = 0
+    m_z = road.length / _spacing(road, y / (t_z + (t_z == 0)))
     return _gain(t_z, m_z, t_q, m_q, sigma_use)
 
 
@@ -291,8 +278,9 @@ def verify_lemma_agg_opt(road: Road, x: float, y: float) -> bool:
 
 def _check_no_overflow(road: Road, *delays: float) -> None:
     """Raise before a lemma check reports a violation unless its delays are
-    finite: a delay that overflows is inf (nan with rho 0), and the check's
-    arithmetic on it gives nan, which would read as a violation."""
+    finite: a delay that overflows is inf (a constant-delay road stays at its
+    ``freeflow``), and the check's arithmetic on inf gives nan, which would
+    read as a violation."""
     if not all(map(math.isfinite, delays)):
         raise errors.InvalidParameterError(
             f"road {road.rid}: delays overflow at these flows: {delays}")

@@ -50,7 +50,7 @@ class _RoadArrays:
 
     freeflow: np.ndarray
     rho: np.ndarray
-    sigma: np.ndarray
+    sigma: np.ndarray    # the exponent: 0 on a constant-delay road
     h: np.ndarray
     hbar: np.ndarray
     d: np.ndarray
@@ -58,15 +58,17 @@ class _RoadArrays:
     hbar_d: np.ndarray   # hbar / d
     mixed_d: np.ndarray  # m2 * (hbar - h) / d
     slope: np.ndarray    # freeflow * rho * sigma
-    sigma_less1: np.ndarray
+    sigma_less1: np.ndarray  # sigma - 1, and 0 on a constant-delay road
 
 
 def _coefficients(freeflow, rho, sigma, h, hbar, d, m2) -> _RoadArrays:
     """The kernel's parameters and coefficients from the road parameters
     (``m2`` is 1 on model-2 roads and 0 on model-1 roads), given as arrays over
-    roads or as one road's floats."""
-    return _RoadArrays(freeflow, rho, sigma, h, hbar, d, h / d, hbar / d,
-                       m2 * (hbar - h) / d, freeflow * rho * sigma, sigma - 1.0)
+    roads or as one road's floats. Exponents are 0 where ``freeflow * rho`` is 0
+    (a constant delay), so no overflowing power meets a zero factor: no nan."""
+    congests = freeflow * rho != 0
+    return _RoadArrays(freeflow, rho, sigma * congests, h, hbar, d, h / d, hbar / d,
+                       m2 * (hbar - h) / d, freeflow * rho * sigma, (sigma - 1.0) * congests)
 
 
 @functools.lru_cache(maxsize=256)
@@ -153,12 +155,11 @@ def capacity(road: Road, x: float, y: float) -> float:
 
 def _road_latency(p: _RoadArrays, x: float, y: float) -> float:
     """The kernel's latency on one road's float coefficients ``p`` at float
-    flows. Where ``r**sigma`` overflows, which raises on floats, it runs on
-    numpy scalars, which give inf as arrays do."""
+    flows; inf where ``r**sigma`` overflows, as on arrays."""
     try:
         return float(_latencies(p, x, y))
     except OverflowError:
-        return float(_latencies(p, np.float64(x), np.float64(y)))
+        return math.inf
 
 
 def link_cost(road: Road, x: float, y: float) -> float:

@@ -467,7 +467,8 @@ def _decomposes(table: "PathTable", flows: np.ndarray, tol: float,
         r = p.reshape(2, n) @ a.T - flows
         g = (r @ a).ravel()
         norm = np.sqrt((r * r).sum(axis=1))
-        low = (np.where(table.valid, g[table.columns], np.inf).min(axis=1)
+        # padding repeats a block's first column, so it never lowers the minimum
+        low = (g[table.columns].min(axis=1)
                * table.totals).reshape(2, -1).sum(axis=1) - (r * flows).sum(axis=1)
         fits, fails = fits | (norm <= tol), fails | (low > 0.5 * tol * norm)
         if (fits | fails).all():

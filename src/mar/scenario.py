@@ -140,7 +140,9 @@ class Scenario:
     """An experiment and its inputs. The seed is an integer >= 0. All but the
     tightness probe need a network, the sweep needs a sweep, and the
     monotonicity demo two roads from the origin to the destination of its one
-    OD pair."""
+    OD pair. The tightness probe runs its solves at its own settings, so it
+    takes the default solver configs, apart from the optimum seed; the
+    scenario seed seeds its random starts."""
 
     experiment: Experiment
     network: Network | None
@@ -157,6 +159,12 @@ class Scenario:
         if net is None and self.experiment is not Experiment.TIGHTNESS_PROBE:
             raise errors.SchemaError(
                 f"the {self.experiment.value} experiment requires a 'network' section")
+        if self.experiment is Experiment.TIGHTNESS_PROBE and (
+                self.eq_config != EquilibriumConfig()
+                or self.opt_config != replace(OptimumConfig(), seed=self.opt_config.seed)):
+            raise errors.SchemaError(
+                "the tightness_probe experiment takes no equilibrium or optimum settings "
+                "(sections 'equilibrium' and 'optimum', flags --gap-tol and --restarts)")
         if self.sweep is None and self.experiment is Experiment.SWEEP:
             raise errors.SchemaError("the sweep experiment requires a 'sweep' section")
         if self.experiment is Experiment.MONOTONICITY_DEMO and (

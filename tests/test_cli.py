@@ -788,6 +788,38 @@ class TestMainCli:
             assert main([verb, "--scenario", str(path), *flags]) == 1
             assert capsys.readouterr().err.splitlines()[0] == f"error: {first_line}", verb
 
+    @pytest.mark.parametrize("section, flags", [
+        ({}, ("--restarts", "1")), ({}, ("--gap-tol", "0.5")),
+        ({"equilibrium": {"max_iterations": 5}}, ()), ({"optimum": {"restarts": 2}}, ())])
+    def test_tightness_probe_rejects_solver_settings(self, tmp_path, capsys, section, flags):
+        # the probe runs its solves at its own settings, so settings it would
+        # ignore are an error; the optimum seed is the scenario seed's to set
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"schema_version": "1", "experiment": "tightness_probe",
+                                    "optimum": {"seed": 3}, **section}))
+        for verb in ("validate", "run"):
+            assert main([verb, "--scenario", str(path), *flags]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: the tightness_probe experiment takes no equilibrium or optimum "
+                "settings"), verb
+        if flags:
+            assert main(["demo", "tightness-k-sweep", *flags]) == 1
+            assert capsys.readouterr().out == ""
+
+    def test_tightness_demo_report_is_unchanged(self, capsys):
+        expected = (
+            "param,value,C_eq,gap_rel,C_opt,opt_oracle,poa_emp,bound_t1,bound_t2,"
+            "bound_combined,k,sigma,xi\n"
+            "k,1,,,,probe:6-equilibria,1,,,1.33333333333,1,1,\n"
+            "k,1.5,,,,probe:6-equilibria,1.49504950495,,,1.6,1.5,1,\n"
+            "k,2,,,,probe:6-equilibria,1.9900990099,,,2,2,1,\n"
+            "k,3,,,,probe:6-equilibria,2.9801980198,,,4,3,1,\n")
+        assert main(["demo", "tightness-k-sweep"]) == 0
+        assert capsys.readouterr().out == expected
+        # --seed stays: it seeds the probe's random starts
+        assert main(["demo", "tightness-k-sweep", "--seed", "123"]) == 0
+        assert capsys.readouterr().out != expected
+
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"schema_version": "1",

@@ -196,13 +196,33 @@ def test_float_kernel_matches_the_array_kernel(rng):
 
 @pytest.mark.parametrize("rho", [1.0, 0.0])
 def test_float_kernel_overflow_gives_what_arrays_give(rho):
-    # r**sigma overflows: inf on arrays, so inf latency, or nan times rho = 0
+    # r**sigma overflows: inf on arrays, so inf latency; with rho 0 the
+    # exponent is 0 and the latency is the constant freeflow
     road = bpr_road(sigma=400.0, rho=rho)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _latencies(_arrays_for((road,)), np.array([100.0]), np.array([0.0]))[0]
         assert np.array_equal(mar.link_cost(road, 100.0, 0.0), expected, equal_nan=True)
         assert np.array_equal(mar.aggregate_cost(road, 100.0, 0.0)(100.0), expected,
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("freeflow", [1.0, 0.0])
+def test_constant_delay_road_stays_at_freeflow_where_its_power_overflows(freeflow):
+    # rho 0 makes road 1's delay the constant freeflow, though its r**400
+    # overflows at (50, 60): no entry point gives nan, and no power overflows
+    net = parallel_net([dict(headway=3.0, sigma=400.0, rho=0.0, freeflow=freeflow),
+                        dict(headway=1.0, sigma=1.0)], demand_human=50.0, demand_auto=60.0)
+    road, z = net.roads[0], [50.0, 60.0, 0.0, 0.0]
+    with np.errstate(all="raise"):
+        assert mar.link_cost(road, 50.0, 60.0) == freeflow
+        assert mar.aggregate_cost(road, 50.0, 60.0)(110.0) == freeflow
+        assert mar.social_cost(net, z) == 110.0 * freeflow
+        assert list(mar.cost_vector(net, z)) == [freeflow, freeflow, 1.0, 1.0]
+        assert not mar.cost_jacobian(net, z)[:2].any()
+        assert _latency_partials(_road_floats(road), 50.0, 60.0)[:3] == (freeflow, 0.0, 0.0)
+        c, dcdx, dcdy, _ = _latency_partials(_arrays_for(net.roads), np.array([50.0, 0.0]),
+                                             np.array([60.0, 0.0]))
+    assert list(c) == [freeflow, 1.0] and dcdx[0] == dcdy[0] == 0.0
 
 
 class TestCostVector:

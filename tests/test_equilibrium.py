@@ -180,6 +180,19 @@ class TestSolveEquilibrium:
             res = mar.solve_equilibrium(net, cfg)
             assert res.converged and res.relative_gap <= 1e-6, res.relative_gap
 
+    def test_constant_delay_road_whose_power_overflows(self):
+        # rho 0: road 1's delay is the constant 1, below road 2's at any
+        # positive flow, though its r**400 overflows at the full demand
+        net = parallel_net([dict(headway=3.0, sigma=400.0, rho=0.0),
+                            dict(headway=1.0, sigma=1.0)], demand_human=50.0, demand_auto=60.0)
+        res = mar.solve_equilibrium(net)
+        assert res.converged and res.iterations == 1
+        assert res.social_cost == 110.0
+        free = dataclasses.replace(net, roads=(dataclasses.replace(net.roads[0], freeflow=0.0),
+                                               net.roads[1]))
+        with pytest.raises(errors.ZeroCostError):
+            mar.solve_equilibrium(free)
+
     def test_zero_demand_od_pair_beside_asymmetric_one(self):
         # the equalization step must skip an OD block that carries no flow
         net = zero_demand_beside_asymmetric()

@@ -83,6 +83,44 @@ def test_zero_total_demand_rejected():
                     od_pairs=(mar.ODPair("s", "t", 0.0, 0.0),))
 
 
+ROAD = mar.Road(rid=1, tail="s", head="t")
+OD = mar.ODPair("s", "t", 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mar.Road(rid=1, tail="s", head="t", rho=-0.1),
+     errors.InvalidParameterError, "rho must be >= 0"),
+    (lambda: mar.Road(rid=1, tail="s", head="t", capacity_model="model1"),
+     errors.InvalidParameterError, "capacity_model must be a CapacityModel"),
+    (lambda: mar.ODPair("s", "t", 1.0, -1.0), errors.InvalidParameterError,
+     "demands must be >= 0"),
+    (lambda: mar.Network(("s", "t"), (), (OD,)), errors.InvalidParameterError, "no roads"),
+    (lambda: mar.Network(("s", "t"), (ROAD,), ()), errors.InvalidParameterError, "no OD pairs"),
+    (lambda: mar.Network(("s", "t"), (ROAD,), (mar.ODPair("s", "u", 1.0, 1.0),)),
+     errors.DanglingEndpointError, "OD endpoint not declared: s->u"),
+    (lambda: mar.Network(("s", "t"), (ROAD,), (OD, mar.ODPair("s", "s", 1.0, 1.0))),
+     errors.UnreachableODError, "no directed path s->s"),
+    (lambda: mar.FlowVector.from_xy([1.0, 2.0], [1.0]), errors.DimensionMismatchError,
+     "x and y must be 1-d with equal length"),
+    (lambda: mar.aggregate_cost(ROAD, 1.0, 1.0)(-1.0), errors.NegativeFlowError,
+     "aggregate flow must be >= 0"),
+    (lambda: mar.verify_lemma_agg_poa_ratio(ROAD, 1.0, 1.0, 0.0, 0.0),
+     errors.InvalidParameterError, "g must be > 0"),
+    (lambda: mar.OptimumConfig(grid_resolution=0.0), errors.InvalidParameterError,
+     "grid_resolution must be in"),
+    (lambda: mar.OptimumConfig(grid_resolution=1.5), errors.InvalidParameterError,
+     "grid_resolution must be in"),
+    (lambda: mar.scale_demands(parallel_net([{}]), -1.0), errors.InvalidParameterError,
+     "factor must be >= 0"),
+], ids=["negative-rho", "capacity-model-type", "negative-demand", "no-roads", "no-od-pairs",
+        "undeclared-od-endpoint", "od-origin-is-destination", "from-xy-shapes",
+        "negative-aggregate-flow", "nonpositive-g", "zero-grid-resolution",
+        "grid-resolution-above-one", "negative-demand-factor"])
+def test_invalid_inputs_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_build_network_from_mapping():
     net = mar.build_network({
         "nodes": ["s", "t"],

@@ -218,8 +218,7 @@ def _run_monotonicity(scenario: Scenario):
 
 def _run_tightness(scenario: Scenario):
     spec = scenario.tightness
-    points = tightness_probe(ks=spec.ks, sigma=spec.sigma, rhos=spec.rhos,
-                             demand=spec.demand, seed=scenario.seed)
+    points = tightness_probe(ks=spec.ks, sigma=spec.sigma, rhos=spec.rhos, demand=spec.demand)
     rows = []
     for pt in points:
         rows.append({
@@ -228,7 +227,7 @@ def _run_tightness(scenario: Scenario):
             "C_eq": None,
             "gap_rel": None,
             "C_opt": None,
-            "opt_oracle": f"probe:{pt.equilibria_found}-equilibria",
+            "opt_oracle": "probe:segregated",
             "poa_emp": pt.best_ratio,
             "bound_t1": None,
             "bound_t2": None,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -181,7 +180,6 @@ def solve_equilibrium(
     cfg: EquilibriumConfig | None = None,
     *,
     start: PathFlowAssignment | None = None,
-    on_iterate: Callable[[int, PathFlowAssignment, float], None] | None = None,
 ) -> SolveResult:
     """Compute a Wardrop equilibrium by averaged all-or-nothing assignment.
 
@@ -211,8 +209,6 @@ def solve_equilibrium(
     for it in range(cfg.max_iterations + 1):
         gap_rel, _, aon = _gap_at(table, params, z)
         cheapest = np.concatenate((aon, aon + table.total_paths))  # per block of the layout
-        if on_iterate is not None:
-            on_iterate(it, table.assignment(z), gap_rel)
         if gap_rel < best_gap:
             best_gap = gap_rel
             best = z.copy()

@@ -496,6 +496,13 @@ class TestEmpiricalPoA:
         assert outcome.optimum.social_cost == pytest.approx(26.0, rel=1e-12)
         assert 1.0 <= outcome.ratio <= mar.poa_bounds(net).bound_combined
 
+    def test_zero_optimum_cost_is_an_error(self):
+        # a gap tolerance of 1 accepts the uniform split, whose cost is
+        # positive, while the optimum routes everything over the free road
+        net = parallel_net([dict(freeflow=0.0), {}])
+        with pytest.raises(errors.ZeroCostError, match="optimum social cost is zero"):
+            mar.empirical_poa(net, mar.EquilibriumConfig(gap_tolerance=1.0))
+
 
 def test_best_optimum_does_not_swallow_the_path_cap():
     # its TooLargeError handler is the brute-force guard, not the path cap
@@ -509,25 +516,36 @@ class TestTightnessProbe:
         assert points[0].best_ratio >= 1.5
         assert points[0].best_ratio <= points[0].bound_combined + 2e-3
 
-    def test_each_instance_solves_distinct_starts(self, monkeypatch):
-        solve = mar.bounds.solve_equilibrium
-        starts = {}
+    def test_each_instance_solves_its_segregated_starts(self, monkeypatch):
+        # the four starts put each class on one road, and the ratio is the
+        # largest over the converged solves against the instance's optimum
+        solve, best_optimum = bounds.solve_equilibrium, bounds._best_optimum
+        optima, solves = {}, {}
 
-        def recording(net, cfg, *, start=None):
-            table = mar.path_table(net)
-            z = table.uniform_start() if start is None else table.arrays(start)
-            starts.setdefault(net, []).append(z)
-            return solve(net, cfg, start=start)
+        def recording_optimum(net, cfg):
+            optima[net] = best_optimum(net, cfg)
+            return optima[net]
 
-        monkeypatch.setattr(mar.bounds, "solve_equilibrium", recording)
-        mar.tightness_probe(ks=(2.0,), rhos=(10.0, 100.0),
-                            eq_cfg=mar.EquilibriumConfig(max_iterations=10))
-        assert len(starts) == 2
-        for zs in starts.values():
-            assert len(zs) == 7
-            for a in range(len(zs)):
-                for b in range(a):
-                    assert not np.array_equal(zs[a], zs[b])
+        def recording(net, cfg, *, start):
+            eq = solve(net, cfg, start=start)
+            if len(solves.get(net, ())) == 3:  # a costly unconverged solve is passed over
+                eq = dataclasses.replace(eq, social_cost=1e9, converged=False)
+            solves.setdefault(net, []).append((mar.path_table(net).arrays(start), eq))
+            return eq
+
+        monkeypatch.setattr(bounds, "_best_optimum", recording_optimum)
+        monkeypatch.setattr(bounds, "solve_equilibrium", recording)
+        (point,) = mar.tightness_probe(ks=(2.0,), rhos=(10.0, 100.0))
+        assert len(solves) == 2
+        ratios = []
+        for net, runs in solves.items():
+            # human on road 1 or 2, then autonomous on road 1 or 2
+            assert np.array_equal([z for z, _ in runs], [[1, 0, 1, 0], [1, 0, 0, 1],
+                                                         [0, 1, 1, 0], [0, 1, 0, 1]])
+            ratios += [eq.social_cost / optima[net][0].social_cost
+                       for _, eq in runs if eq.converged]
+        assert len(ratios) == 6
+        assert point.best_ratio == max(ratios)
 
     @pytest.mark.parametrize("ks, rhos", [((), (10.0,)), ((2.0,), ())])
     def test_empty_ks_or_rhos_rejected(self, ks, rhos):
@@ -549,10 +567,12 @@ class TestTightnessProbe:
         with pytest.raises(errors.InvalidParameterError, match=f"^{field}: "):
             mar.tightness_probe(**{"ks": (2.0,), "rhos": (10.0,), **levels})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(errors.InvalidParameterError, match="seed"):
-            mar.tightness_probe(ks=(2.0,), rhos=(10.0,), seed=seed)
+    @pytest.mark.parametrize("setting", [
+        {"seed": 0}, {"eq_cfg": mar.EquilibriumConfig()}, {"opt_cfg": mar.OptimumConfig()}])
+    def test_takes_no_seed_or_solver_settings(self, setting):
+        # its starts are fixed and its settings its own
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            mar.tightness_probe(ks=(2.0,), rhos=(10.0,), **setting)
 
     def test_aggregate_equilibrium_cost_identity(self, rng):
         # the single-class aggregate curves anchored at an equilibrium

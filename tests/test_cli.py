@@ -555,12 +555,12 @@ class TestMainCli:
         assert err.startswith("error: ") and "seed" in err
         assert "Traceback" not in err
 
-    def test_tightness_demo_counts_distinct_equilibria(self, capsys):
-        # each k's two instances reach three distinct equilibria apiece
+    def test_tightness_demo_names_its_start_set(self, capsys):
+        # every k's ratio comes from the segregated starts
         assert main(["demo", "tightness-k-sweep"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 4
-        assert all(row.split(",")[5] == "probe:6-equilibria" for row in rows)
+        assert all(row.split(",")[5] == "probe:segregated" for row in rows)
 
     def test_verb_overrides_experiment(self, tmp_path):
         path = tmp_path / "s.json"
@@ -789,14 +789,15 @@ class TestMainCli:
             assert capsys.readouterr().err.splitlines()[0] == f"error: {first_line}", verb
 
     @pytest.mark.parametrize("section, flags", [
-        ({}, ("--restarts", "1")), ({}, ("--gap-tol", "0.5")),
-        ({"equilibrium": {"max_iterations": 5}}, ()), ({"optimum": {"restarts": 2}}, ())])
+        ({}, ("--restarts", "1")), ({}, ("--gap-tol", "0.5")), ({}, ("--seed", "3")),
+        ({"equilibrium": {"max_iterations": 5}}, ()), ({"optimum": {"restarts": 2}}, ()),
+        ({"optimum": {"seed": 3}}, ()), ({"seed": 3}, ())])
     def test_tightness_probe_rejects_solver_settings(self, tmp_path, capsys, section, flags):
-        # the probe runs its solves at its own settings, so settings it would
-        # ignore are an error; the optimum seed is the scenario seed's to set
+        # the probe runs its solves at its own settings from fixed starts, so
+        # settings and seeds it would ignore are an error
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"schema_version": "1", "experiment": "tightness_probe",
-                                    "optimum": {"seed": 3}, **section}))
+                                    **section}))
         for verb in ("validate", "run"):
             assert main([verb, "--scenario", str(path), *flags]) == 1
             assert capsys.readouterr().err.startswith(
@@ -810,15 +811,15 @@ class TestMainCli:
         expected = (
             "param,value,C_eq,gap_rel,C_opt,opt_oracle,poa_emp,bound_t1,bound_t2,"
             "bound_combined,k,sigma,xi\n"
-            "k,1,,,,probe:6-equilibria,1,,,1.33333333333,1,1,\n"
-            "k,1.5,,,,probe:6-equilibria,1.49504950495,,,1.6,1.5,1,\n"
-            "k,2,,,,probe:6-equilibria,1.9900990099,,,2,2,1,\n"
-            "k,3,,,,probe:6-equilibria,2.9801980198,,,4,3,1,\n")
+            "k,1,,,,probe:segregated,1,,,1.33333333333,1,1,\n"
+            "k,1.5,,,,probe:segregated,1.49504950495,,,1.6,1.5,1,\n"
+            "k,2,,,,probe:segregated,1.9900990099,,,2,2,1,\n"
+            "k,3,,,,probe:segregated,2.9801980198,,,4,3,1,\n")
         assert main(["demo", "tightness-k-sweep"]) == 0
         assert capsys.readouterr().out == expected
-        # --seed stays: it seeds the probe's random starts
-        assert main(["demo", "tightness-k-sweep", "--seed", "123"]) == 0
-        assert capsys.readouterr().out != expected
+        # seed 0 is the only seed the probe takes
+        assert main(["demo", "tightness-k-sweep", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_network_required_for_non_probe_verbs(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -870,3 +871,9 @@ class TestMainCli:
             [sys.executable, "-c", "import sys, mar; print('mar.cli' in sys.modules, mar.run)"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.startswith("False <function run")
+
+    def test_package_exports_the_cli_entry_points(self):
+        # mar.main and mar.run resolve through the package's lazy __getattr__
+        assert (mar.main, mar.run) == (main, run)
+        with pytest.raises(AttributeError, match="no attribute 'mian'"):
+            mar.mian

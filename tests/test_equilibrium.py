@@ -134,16 +134,29 @@ class TestSolveEquilibrium:
         assert not res.converged
         assert res.iterations == 5
 
-    def test_iterates_stay_feasible(self):
+    def test_progress_is_logged_every_5000_iterations(self, caplog):
+        # this instance's gap stalls near 1e-16 and never reaches zero
+        gen = np.random.default_rng(2)
+        nets = [random_network(gen, sigma_pool=(4.0,), k_max=4.0) for _ in range(4)]
+        cfg = mar.EquilibriumConfig(max_iterations=5001, gap_tolerance=1e-300)
+        with caplog.at_level("DEBUG", logger="mar.equilibrium"):
+            res = mar.solve_equilibrium(nets[3], cfg)
+        assert not res.converged
+        assert [r.getMessage()[:15] for r in caplog.records] == [
+            "iteration 5000:", "not converged a"]
+
+    def test_iterates_stay_feasible(self, monkeypatch):
+        # every iterate, and every Newton candidate, has its gap measured
         net = designated_two_road()
         seen = []
 
-        def check(it, pf, gap):
-            mar.validate_assignment(net, pf)
-            seen.append(it)
+        def check(table, params, z):
+            mar.validate_assignment(net, table.assignment(z))
+            seen.append(z.copy())
+            return _gap_at(table, params, z)
 
-        mar.solve_equilibrium(net, mar.EquilibriumConfig(max_iterations=500),
-                              on_iterate=check)
+        monkeypatch.setattr(mar.equilibrium, "_gap_at", check)
+        mar.solve_equilibrium(net, mar.EquilibriumConfig(max_iterations=500))
         assert len(seen) > 1
 
     def test_classes_see_equal_minimum_path_costs(self):
@@ -303,6 +316,18 @@ class TestNewtonStep:
         # sums over blocks of 8 or more paths may group their terms apart
         for got, expect in self.steps(grid_net(4), rng, 4):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    def test_an_overflowing_delay_leaves_the_point_unmoved(self):
+        # road 1's delay is inf at the uniform split, so the linear system
+        # holds inf and nan and its least-squares solve fails: no step
+        roads = (mar.Road(1, "s", "t", headway=3.0, sigma=400.0, rho=0.15),
+                 mar.Road(2, "s", "t", headway=1.0, sigma=1.0))
+        net = mar.Network(("s", "t"), roads, (mar.ODPair("s", "t", 50.0, 60.0),))
+        table = mar.path_table(net)
+        z = table.uniform_start()
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _newton_step(table, _net_arrays(net), np.array([1, 3]), z)
+        np.testing.assert_array_equal(step, z)
 
 
 def test_all_or_nothing_tie_breaks_to_lowest_index_in_a_padded_block():

@@ -14,7 +14,9 @@ the maximum polynomial degree ``sigma`` of the BPR-form delays. The scalar
 The module also exposes the proof artifacts as executable checks: the
 aggregate single-class cost construction anchored at an equilibrium, the
 geometric ``beta`` parameter with its per-road closed form, and per-road
-inequality verifiers suitable for property-test harnesses.
+inequality verifiers suitable for property-test harnesses. ``tightness_probe``
+searches a two-road family for costly equilibria; ``TightnessSpec`` states its
+inputs, their defaults and their rule once.
 """
 
 from __future__ import annotations
@@ -340,6 +342,36 @@ def empirical_poa(
 
 
 @dataclass(frozen=True)
+class TightnessSpec:
+    """The tightness probe's inputs, which also read a scenario's ``tightness``
+    section, and its rule: nonempty ``ks`` and ``rhos``, each k finite and >= 1,
+    each rho finite and >= 0, ``sigma`` finite and >= 1, ``demand`` finite and
+    > 0. Messages start with the field."""
+
+    ks: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
+    sigma: float = 1.0
+    rhos: tuple[float, ...] = (10.0, 100.0)
+    demand: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.ks or not self.rhos:
+            empty = "rhos" if self.ks else "ks"
+            raise errors.InvalidParameterError(f"{empty}: expected at least one value")
+        if not all(1.0 <= k < np.inf for k in self.ks):
+            raise errors.InvalidParameterError(
+                f"ks: every k must be finite and >= 1, got {self.ks}")
+        if not all(0.0 <= rho < np.inf for rho in self.rhos):
+            raise errors.InvalidParameterError(
+                f"rhos: every rho must be finite and >= 0, got {self.rhos}")
+        if not 1.0 <= self.sigma < np.inf:
+            raise errors.InvalidParameterError(
+                f"sigma: expected a finite value >= 1, got {self.sigma}")
+        if not 0.0 < self.demand < np.inf:
+            raise errors.InvalidParameterError(
+                f"demand: expected a finite value > 0, got {self.demand}")
+
+
+@dataclass(frozen=True)
 class TightnessPoint:
     """Worst converged ratio the probe found for one asymmetry level."""
 
@@ -370,35 +402,17 @@ def _segregated_starts(table):
     return starts
 
 
-def _check_probe_levels(ks: tuple, rhos: tuple, sigma: float, demand: float) -> None:
-    """The probe's rule, which ``scenario.TightnessSpec`` applies too: nonempty ``ks``
-    and ``rhos``, each k finite and >= 1, each rho finite and >= 0, ``sigma`` finite
-    and >= 1, ``demand`` finite and > 0. Messages start with the field."""
-    if not ks or not rhos:
-        empty = "rhos" if ks else "ks"
-        raise errors.InvalidParameterError(f"{empty}: expected at least one value")
-    if not all(1.0 <= k < np.inf for k in ks):
-        raise errors.InvalidParameterError(f"ks: every k must be finite and >= 1, got {ks}")
-    if not all(0.0 <= rho < np.inf for rho in rhos):
-        raise errors.InvalidParameterError(
-            f"rhos: every rho must be finite and >= 0, got {rhos}")
-    if not 1.0 <= sigma < np.inf:
-        raise errors.InvalidParameterError(f"sigma: expected a finite value >= 1, got {sigma}")
-    if not 0.0 < demand < np.inf:
-        raise errors.InvalidParameterError(f"demand: expected a finite value > 0, got {demand}")
-
-
 # The probe's solver settings, which its callers do not choose.
 _PROBE_EQ = EquilibriumConfig(max_iterations=20_000)
 _PROBE_OPT = OptimumConfig(restarts=8, max_iterations=2_000)
 
 
 def tightness_probe(
-    ks=(1.0, 1.5, 2.0, 3.0),
-    sigma: float = 1.0,
+    ks=TightnessSpec.ks,
+    sigma: float = TightnessSpec.sigma,
     *,
-    rhos=(10.0, 100.0),
-    demand: float = 1.0,
+    rhos=TightnessSpec.rhos,
+    demand: float = TightnessSpec.demand,
 ) -> tuple[TightnessPoint, ...]:
     """Search two-road families for large equilibrium/optimum cost ratios.
 
@@ -410,14 +424,13 @@ def tightness_probe(
     It is expected to fall short of the closed-form bound: it shows growth,
     not tightness.
     """
-    ks, rhos = tuple(ks), tuple(rhos)
-    _check_probe_levels(ks, rhos, sigma, demand)
+    spec = TightnessSpec(tuple(ks), sigma, tuple(rhos), demand)
     points = []
-    for k in ks:
+    for k in spec.ks:
         # poa_bounds reads no rho, so one bound serves the level
-        bound = poa_bounds(_opposed_asymmetry_net(float(k), sigma, float(rhos[0]), demand))
+        bound = poa_bounds(_opposed_asymmetry_net(float(k), sigma, float(spec.rhos[0]), demand))
         best_ratio = 0.0
-        for rho in rhos:
+        for rho in spec.rhos:
             net = _opposed_asymmetry_net(float(k), sigma, float(rho), demand)
             table = path_table(net)
             opt, _ = _best_optimum(net, _PROBE_OPT)

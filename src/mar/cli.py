@@ -62,6 +62,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row(**cells) -> dict:
+    """A report row in ``CSV_COLUMNS`` order: the given cells, every other column None."""
+    return {col: cells.get(col) for col in CSV_COLUMNS}
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
@@ -117,21 +122,12 @@ def _poa_row(net: Network, scenario: Scenario, param: str, value: float) -> tupl
     outcome = empirical_poa(net, scenario.eq_config, scenario.opt_config)
     report = poa_bounds(net)
     tokens = [outcome.opt_oracle, *outcome.flags]
-    row = {
-        "param": param,
-        "value": value,
-        "C_eq": outcome.equilibrium.social_cost,
-        "gap_rel": outcome.equilibrium.relative_gap,
-        "C_opt": outcome.optimum.social_cost,
-        "opt_oracle": "+".join(tokens),
-        "poa_emp": outcome.ratio,
-        "bound_t1": report.bound_thm1,
-        "bound_t2": report.bound_thm2,
-        "bound_combined": report.bound_combined,
-        "k": report.k,
-        "sigma": report.sigma,
-        "xi": report.xi,
-    }
+    row = _row(param=param, value=value, C_eq=outcome.equilibrium.social_cost,
+               gap_rel=outcome.equilibrium.relative_gap, C_opt=outcome.optimum.social_cost,
+               opt_oracle="+".join(tokens), poa_emp=outcome.ratio,
+               bound_t1=report.bound_thm1, bound_t2=report.bound_thm2,
+               bound_combined=report.bound_combined, k=report.k, sigma=report.sigma,
+               xi=report.xi)
     return row, bool(outcome.flags)
 
 
@@ -219,23 +215,9 @@ def _run_monotonicity(scenario: Scenario):
 def _run_tightness(scenario: Scenario):
     spec = scenario.tightness
     points = tightness_probe(ks=spec.ks, sigma=spec.sigma, rhos=spec.rhos, demand=spec.demand)
-    rows = []
-    for pt in points:
-        rows.append({
-            "param": "k",
-            "value": pt.k,
-            "C_eq": None,
-            "gap_rel": None,
-            "C_opt": None,
-            "opt_oracle": "probe:segregated",
-            "poa_emp": pt.best_ratio,
-            "bound_t1": None,
-            "bound_t2": None,
-            "bound_combined": pt.bound_combined,
-            "k": pt.k,
-            "sigma": spec.sigma,
-            "xi": None,
-        })
+    rows = [_row(param="k", value=pt.k, opt_oracle="probe:segregated", poa_emp=pt.best_ratio,
+                 bound_combined=pt.bound_combined, k=pt.k, sigma=spec.sigma)
+            for pt in points]
     return {"experiment": "tightness_probe", "rows": rows}, rows, False
 
 

@@ -82,7 +82,9 @@ def _gap_at(table: PathTable, params, z: np.ndarray):
     per-class shortest paths coincide.
     """
     x, y = table.link_flows(z)
-    cp = table.incidence.T @ _latencies(params, x, y)
+    # an overflowing (inf) delay read as the largest float, so that the zeros
+    # of the incidence matrix never meet it: a path avoiding the road costs no nan
+    cp = table.incidence.T @ np.minimum(_latencies(params, x, y), np.finfo(float).max)
     total_cost = float(z[:cp.size] @ cp) + float(z[cp.size:] @ cp)
     # each OD pair's cheapest path over the layout's human rows, ties to the
     # lowest index (padding repeats a block's first path, which argmin never

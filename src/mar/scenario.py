@@ -5,7 +5,9 @@ fields of the dataclass it builds, so a field's type hint is its schema and a
 field with a default is optional. Unknown fields and wrong types are rejected
 with the offending field's path named, such as ``network.roads[1].sigma``.
 Each scenario type checks its own rules when built, by ``parse_scenario`` or
-by library code, so ``parse_scenario`` only maps JSON onto types. Violations
+by library code, so ``parse_scenario`` only maps JSON onto types. The
+``tightness`` section is the probe's own ``bounds.TightnessSpec``, whose rule
+errors a file reports as schema errors of that section. Violations
 of network invariants (duplicate ids, unreachable OD pairs, bad parameter
 ranges) propagate as their own error types. All quantities are unchecked
 scalars; consistent units are the scenario author's responsibility.
@@ -22,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, replace
 from typing import Any, Mapping
 
 from . import errors
-from .bounds import _check_probe_levels
+from .bounds import TightnessSpec
 from .equilibrium import EquilibriumConfig
 from .network import Network
 from .optimum import OptimumConfig, scale_demands
@@ -119,20 +121,6 @@ class SweepSpec:
             if not admits(value):
                 raise errors.InvalidSweepParameterError(
                     f"sweep.{end}: {self.parameter} values must be {rule}, got {value}")
-
-
-@dataclass(frozen=True)
-class TightnessSpec:
-    ks: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
-    sigma: float = 1.0
-    rhos: tuple[float, ...] = (10.0, 100.0)
-    demand: float = 1.0
-
-    def __post_init__(self) -> None:
-        try:
-            _check_probe_levels(self.ks, self.rhos, self.sigma, self.demand)
-        except errors.InvalidParameterError as exc:
-            raise errors.SchemaError(f"tightness.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -279,7 +267,8 @@ def parse_scenario(text: str) -> Scenario:
     ``experiment`` may be ``eq`` or ``opt`` for short, a null
     ``equilibrium``, ``optimum`` or ``tightness`` section reads as empty and a
     null ``sweep`` as none, and the optimum seed defaults to the scenario's.
-    Every section is read by ``_value`` from the type it builds.
+    Every section is read by ``_value`` from the type it builds; a rule error
+    of the ``tightness`` section reads as ``tightness.<field>: ...``.
     """
     try:
         data = json.loads(text)
@@ -293,12 +282,15 @@ def parse_scenario(text: str) -> Scenario:
         raise errors.SchemaError(f"scenario.schema_version: unrecognized version {version!r}")
     experiment = experiment_named(_get(data, "experiment", "scenario", str))
     seed = _value(data.get("seed", 0), int, "scenario.seed")
+    network = network_from_mapping(data["network"]) if "network" in data else None
     sweep = data.get("sweep")
+    sweep = None if sweep is None else _value(sweep, SweepSpec, "sweep")
+    try:
+        tightness = _optional(data, "tightness", TightnessSpec)
+    except errors.InvalidParameterError as exc:
+        raise errors.SchemaError(f"tightness.{exc}") from None
     scenario = Scenario(
-        experiment=experiment, seed=seed,
-        network=network_from_mapping(data["network"]) if "network" in data else None,
-        sweep=None if sweep is None else _value(sweep, SweepSpec, "sweep"),
-        tightness=_optional(data, "tightness", TightnessSpec),
+        experiment=experiment, seed=seed, network=network, sweep=sweep, tightness=tightness,
         eq_config=_optional(data, "equilibrium", EquilibriumConfig),
         opt_config=_optional(data, "optimum", OptimumConfig))
     if "seed" in (data.get("optimum") or {}):
@@ -312,7 +304,7 @@ def parse_scenario(text: str) -> Scenario:
 # Jacobian; "bicriteria-2.61" is a k=3, sigma=4 network whose demand-inflation
 # factor lands near 2.605; "classic-4-3" is a symmetric sigma = 1 network
 # recovering the classic 4/3 bound; "tightness-k-sweep" runs the
-# order-optimality probe.
+# order-optimality probe at its default inputs.
 _DEMOS: dict[str, dict[str, Any]] = {
     "classic-4-3": {
         "schema_version": "1",
@@ -363,12 +355,7 @@ _DEMOS: dict[str, dict[str, Any]] = {
                           "demand_human": 0.2, "demand_auto": 0.2}],
         },
     },
-    "tightness-k-sweep": {
-        "schema_version": "1",
-        "experiment": "tightness_probe",
-        "tightness": {"ks": [1.0, 1.5, 2.0, 3.0], "sigma": 1.0,
-                      "rhos": [10.0, 100.0], "demand": 1.0},
-    },
+    "tightness-k-sweep": {"schema_version": "1", "experiment": "tightness_probe"},
 }
 
 DEMO_NAMES = tuple(sorted(_DEMOS))

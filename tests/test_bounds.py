@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -573,6 +574,21 @@ class TestTightnessProbe:
         # its starts are fixed and its settings its own
         with pytest.raises(TypeError, match="unexpected keyword"):
             mar.tightness_probe(ks=(2.0,), rhos=(10.0,), **setting)
+
+    def test_defaults_are_the_spec_defaults(self):
+        # one statement of the probe's inputs, which a scenario's section reads too
+        params = inspect.signature(mar.tightness_probe).parameters
+        assert {name: p.default for name, p in params.items()} == dataclasses.asdict(
+            bounds.TightnessSpec())
+        assert mar.scenario.TightnessSpec is bounds.TightnessSpec
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"ks": (0.5,)}, "ks"), ({"ks": ()}, "ks"), ({"rhos": ()}, "rhos"),
+        ({"sigma": 0.5}, "sigma"), ({"demand": 0.0}, "demand")])
+    def test_spec_built_in_code_raises_the_probe_error(self, fields, field):
+        # the file reader adds the section's name and reports a SchemaError
+        with pytest.raises(errors.InvalidParameterError, match=f"^{field}: "):
+            bounds.TightnessSpec(**fields)
 
     def test_aggregate_equilibrium_cost_identity(self, rng):
         # the single-class aggregate curves anchored at an equilibrium

@@ -206,6 +206,16 @@ class TestSolveEquilibrium:
         with pytest.raises(errors.ZeroCostError):
             mar.solve_equilibrium(free)
 
+    def test_overflowing_delay_reads_no_nan_path_cost(self):
+        # road 1's delay overflows at the uniform split; the path of road 2
+        # must still cost its finite delay, not 0 * inf
+        net = parallel_net([dict(headway=3.0, sigma=400.0, rho=0.15),
+                            dict(headway=1.0, sigma=1.0)], demand_human=50.0, demand_auto=60.0)
+        with np.errstate(over="ignore", invalid="raise"):
+            res = mar.solve_equilibrium(net)
+        assert res.converged
+        assert res.social_cost == pytest.approx(1916.2494609346832, rel=1e-9)
+
     def test_zero_demand_od_pair_beside_asymmetric_one(self):
         # the equalization step must skip an OD block that carries no flow
         net = zero_demand_beside_asymmetric()

@@ -19,7 +19,9 @@ the suite fails under it. Deselect that test::
     python3 tools/linecov.py -q --deselect \\
         tests/test_network.py::TestPathTable::test_six_by_six_grid_fails_fast
 
-Only the standard library and pytest are needed. The exit status is pytest's.
+Only the standard library and pytest are needed. The exit status is pytest's
+when pytest fails, else 1 when some statement line is unexecuted, else 0, so
+a CI step can gate on it.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def main(argv: list[str]) -> int:
         print(f"{path.relative_to(ROOT)}: {len(missing)} of {len(statements)} "
               f"statement lines unexecuted" + (f": {ranges(missing)}" if missing else ""))
     print(f"total: {total_missing} statement lines unexecuted")
-    return int(status)
+    return int(status) or int(total_missing > 0)
 
 
 if __name__ == "__main__":
